@@ -51,7 +51,7 @@ pub struct RpcConfig {
     /// numbering and must match each worker's `Hello`.
     pub paths: Vec<PathBuf>,
     /// How long [`RpcTransport::connect`] waits for every worker's
-    /// handshake before giving up.
+    /// handshake and first session before giving up.
     pub connect_timeout: Duration,
     /// Backoff between reconnect attempts.
     pub reconnect_backoff: Duration,
@@ -142,7 +142,7 @@ struct WorkerState {
     /// Rows of embed work queued or in flight toward this worker.
     queued_rows: AtomicUsize,
     /// True once any session succeeded — the next handshake is a
-    /// *re*connect.
+    /// *re*connect. Set under the queue lock; `connect` waits on it.
     had_session: AtomicBool,
     telemetry: WorkerTelemetry,
 }
@@ -198,9 +198,11 @@ pub struct RpcTransport {
 impl RpcTransport {
     /// Connect to every worker and wait for all handshakes, assembling
     /// the shard layout (`boundaries`) from the workers' reported
-    /// bands. Fails if any worker's handshake doesn't arrive within
-    /// `config.connect_timeout` or the reported bands don't tile a
-    /// contiguous row space.
+    /// bands, then for every worker's first session to be marked
+    /// connected, so a request sent as soon as this returns is
+    /// delivered. Fails if any worker's handshake or session start
+    /// doesn't arrive within `config.connect_timeout` or the reported
+    /// bands don't tile a contiguous row space.
     pub fn connect(config: RpcConfig) -> io::Result<Arc<RpcTransport>> {
         assert!(!config.paths.is_empty(), "at least one worker");
         let fault = config.fault.clone().or_else(FaultPlan::from_env);
@@ -267,6 +269,25 @@ impl RpcTransport {
                 slot = s;
             }
             layouts.push(slot.clone().expect("present"));
+        }
+        // The manager marks a worker connected only after its catch-up,
+        // which waits on `ship_order`; a request sent before that fails
+        // fast, so wait for every first session too.
+        for state in &transport.workers {
+            let mut q = state.queue.lock().expect("queue");
+            while !state.had_session.load(Ordering::Acquire) {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    drop(q);
+                    transport.shutdown();
+                    return Err(io::Error::new(
+                        io::ErrorKind::TimedOut,
+                        format!("worker {} session start timed out", state.shard),
+                    ));
+                }
+                let (g, _) = state.queue_cv.wait_timeout(q, left).expect("queue wait");
+                q = g;
+            }
         }
         let mut boundaries = vec![layouts[0].band_start as usize];
         for (s, l) in layouts.iter().enumerate() {
@@ -521,9 +542,9 @@ fn manage_worker(
                 });
             }
             q.connected = true;
-        }
-        if state.had_session.swap(true, Ordering::AcqRel) {
-            state.telemetry.reconnects.fetch_add(1, Ordering::Relaxed);
+            if state.had_session.swap(true, Ordering::AcqRel) {
+                state.telemetry.reconnects.fetch_add(1, Ordering::Relaxed);
+            }
         }
         state.queue_cv.notify_all();
         let reader = {

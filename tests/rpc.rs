@@ -319,3 +319,42 @@ fn remote_engine_is_bit_identical_over_sockets_and_survives_worker_restart() {
         let _ = std::fs::remove_file(p);
     }
 }
+
+/// `connect` must not return before every worker's first session is
+/// marked connected: a request sent right after it — here behind the
+/// coordinator's snapshot ship, which holds the ship-order lock the
+/// connection manager needs to finish its catch-up — is answered, not
+/// failed with `PartFailed`. Repeated because the window is a race
+/// between the caller and the per-worker manager threads.
+#[test]
+fn first_request_after_connect_is_never_refused() {
+    let (n, d, nshards) = (2000, 32, 2);
+    let a = rmat(&RmatConfig::new(n, 4 * n).with_seed(5));
+    let x = random_features(n, d, 0.5, 3);
+    let y = random_features(n, d, 0.5, 4);
+
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let paths: Vec<std::path::PathBuf> =
+        (0..nshards).map(|s| dir.join(format!("fusedmm-rpc-race-{pid}-{s}.sock"))).collect();
+    let servers: Vec<_> = (0..nshards).map(|s| boot_worker(&a, s, nshards, d, &paths[s])).collect();
+    let last_rows: Vec<usize> = vec![0, n - 1];
+
+    for round in 0..100 {
+        let mut rpc_config = RpcConfig::new(paths.clone());
+        rpc_config.fault = Some(Arc::new(FaultPlan::disabled()));
+        let transport = RpcTransport::connect(rpc_config).expect("connect loopback workers");
+        let remote =
+            RemoteShardedEngine::new(x.clone(), y.clone(), transport.clone(), engine_config());
+        if let Err(e) = remote.embed(&last_rows) {
+            panic!("round {round}: first request after connect failed: {e}");
+        }
+        drop(remote);
+        drop(transport);
+    }
+
+    drop(servers);
+    for p in &paths {
+        let _ = std::fs::remove_file(p);
+    }
+}
