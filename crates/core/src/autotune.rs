@@ -1,17 +1,21 @@
-//! Runtime autotuning of the blocking strategy per (pattern, dimension).
+//! Runtime autotuning of the blocking strategy per (kernel shape,
+//! dimension).
 //!
 //! The paper's library "tuned the factor of the register blocking after
 //! applying different strategies" offline during code generation. We
 //! tune at run time instead: the first `fusedmm` call for a given
-//! (pattern, d) measures each candidate blocking — dynamic strips,
+//! (shape, d) measures each candidate blocking — dynamic strips,
 //! strip-mined (when `d ≡ 0 (mod 8)`), register-blocked (when a const
 //! specialization exists), and the best plan-time specialized shape
 //! from the generated dispatch table ([`Tuner::spec_for`] probes the
 //! candidate panel/chunk grid first) — on a small synthetic probe and
 //! caches the winner for the rest of the process — the ATLAS
-//! philosophy the paper cites, applied lazily. The SIMD backend is
-//! fixed per process, so the (pattern, d) key implicitly tunes per
-//! (pattern, d, ISA).
+//! philosophy the paper cites, applied lazily. Decisions are keyed by
+//! the kernel shape [`specialize`] recognizes, not by the op set's
+//! pattern tag: every [`OpSet::custom`] carries the same `Custom` tag
+//! whatever kernel it runs, while every op set of one shape runs the
+//! same compiled kernels. The SIMD backend is fixed per process, so
+//! the (shape, d) key implicitly tunes per (shape, d, ISA).
 
 use std::time::Instant;
 
@@ -19,7 +23,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use fusedmm_ops::{OpSet, Pattern};
+use fusedmm_ops::OpSet;
 use fusedmm_sparse::coo::{Coo, Dedup};
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
@@ -29,11 +33,11 @@ use crate::genkern::{candidate_specs, strip_minable, KernelSpec, GENERATED_DIMS}
 use crate::part::PartitionStrategy;
 use crate::simd::active_backend;
 
-/// Cached tuning decisions, keyed by (pattern, dimension).
+/// Cached tuning decisions, keyed by (kernel shape, dimension).
 #[derive(Debug, Default)]
 pub struct Tuner {
-    cache: RwLock<HashMap<(Pattern, usize), Blocking>>,
-    spec_cache: RwLock<HashMap<(Pattern, usize), KernelSpec>>,
+    cache: RwLock<HashMap<(Specialized, usize), Blocking>>,
+    spec_cache: RwLock<HashMap<(Specialized, usize), KernelSpec>>,
 }
 
 /// Probe graph size used for tuning runs. Small enough to be
@@ -52,10 +56,10 @@ impl Tuner {
     /// The blocking to use for `ops` at dimension `d`, measuring on
     /// first use.
     pub fn choose(&self, ops: &OpSet, d: usize) -> Blocking {
-        if specialize(ops).is_none() {
+        let Some(shape) = specialize(ops) else {
             return Blocking::Generic;
-        }
-        let key = (ops.pattern, d);
+        };
+        let key = (shape, d);
         if let Some(&b) = self.cache.read().get(&key) {
             return b;
         }
@@ -79,24 +83,25 @@ impl Tuner {
     /// the active backend, probing the candidate grid (see
     /// [`candidate_specs`]) on first use and caching the winner. This
     /// is the shape a `Blocking::Specialized` plan (and the hybrid
-    /// dispatcher's degree-class kernels) will run.
+    /// dispatcher's degree-class kernels) will run. Op sets that match
+    /// no kernel shape get [`KernelSpec::FALLBACK`] without probing.
     pub fn spec_for(&self, ops: &OpSet, d: usize) -> KernelSpec {
-        let key = (ops.pattern, d);
+        let Some(shape) = specialize(ops) else {
+            return KernelSpec::FALLBACK;
+        };
+        let key = (shape, d);
         if let Some(&s) = self.spec_cache.read().get(&key) {
             return s;
         }
-        let chosen = self.measure_spec(ops, d);
+        let chosen = self.measure_spec(ops, shape, d);
         self.spec_cache.write().insert(key, chosen);
         chosen
     }
 
-    fn measure_spec(&self, ops: &OpSet, d: usize) -> KernelSpec {
-        let Some(sp) = specialize(ops) else {
-            return KernelSpec::FALLBACK;
-        };
-        // Patterns with an SDDMM reduction also probe the message
-        // chunk depth; pure SpMM has no message buffer.
-        let sddmm = !matches!(sp, Specialized::Spmm);
+    fn measure_spec(&self, ops: &OpSet, shape: Specialized, d: usize) -> KernelSpec {
+        // Shapes with an SDDMM reduction also probe the message chunk
+        // depth; pure SpMM has no message buffer.
+        let sddmm = shape != Specialized::Spmm;
         let candidates = candidate_specs(active_backend().lanes(), d, sddmm);
         if candidates.len() == 1 {
             return candidates[0];
@@ -266,6 +271,23 @@ mod tests {
         assert!(tuner.cached_len() > 0);
         tuner.clear();
         assert_eq!(tuner.cached_len(), 0);
+    }
+
+    #[test]
+    fn custom_op_sets_are_cached_by_kernel_shape() {
+        // Both sets carry the `Custom` pattern tag, but one runs the
+        // embedding kernels and the other the FR kernels: they must not
+        // share a tuning decision. A second set of the embedding shape
+        // reuses the first one's.
+        let tuner = Tuner::new();
+        let sig = SOp::Custom(std::sync::Arc::new(|s, _| fusedmm_ops::sigmoid(s) - 1.0));
+        let embed = OpSet::custom(VOp::Mul, ROp::Sum, sig, MOp::Mul, AOp::Sum);
+        let fr = OpSet::custom(VOp::Sub, ROp::Norm, SOp::Scale(0.5), MOp::Mul, AOp::Sum);
+        tuner.choose(&embed, 24);
+        tuner.choose(&fr, 24);
+        assert_eq!(tuner.cached_len(), 2);
+        tuner.choose(&OpSet::sigmoid_embedding(None), 24);
+        assert_eq!(tuner.cached_len(), 2);
     }
 
     #[test]

@@ -4,9 +4,14 @@
 //! AOP operations, we can optimize the whole kernel by feeding the
 //! output of one operation directly to the next operation without
 //! storing the results." [`specialize`] performs that recognition on an
-//! [`OpSet`]; [`fusedmm_opt`] runs the recognized specialized kernel
-//! (register-blocked when a generated dimension matches) and falls back
-//! to the generic five-step kernel otherwise.
+//! [`OpSet`] by **kernel shape**, not by preset: the SIMD kernels fix
+//! VOP, ROP, MOP and AOP, and take the scalar SOP as a parameter they
+//! apply per edge (`sop.apply_scalar(s, a_uv)`). So a user-defined
+//! scaling operation — Force2Vec's `s ↦ σ(s) − 1`, an FR repulsion
+//! closure — runs on the same register-blocked kernels as the presets
+//! ("FusedMM can directly take a scaling operation", §V-D).
+//! [`fusedmm_opt`] runs the recognized kernel shape and falls back to
+//! the generic five-step kernel for every other operator set.
 
 use fusedmm_ops::{AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
@@ -18,7 +23,7 @@ use crate::genkern::{
     embed_dyn_kernel, embed_kernel_for, embed_spec_kernel, embed_strip_kernel, fr_dyn_kernel,
     fr_kernel_for, fr_spec_kernel, fr_strip_kernel, spmm_dyn_kernel, spmm_kernel_for,
     spmm_spec_kernel, spmm_strip_kernel, strip_minable, tdist_dyn_kernel, tdist_kernel_for,
-    tdist_spec_kernel, tdist_strip_kernel, KernelSpec, SigmoidKind, GENERATED_DIMS,
+    tdist_spec_kernel, tdist_strip_kernel, KernelSpec, GENERATED_DIMS,
 };
 use crate::part::PartitionStrategy;
 use crate::simd::active_backend;
@@ -118,42 +123,45 @@ fn resolve_level(blocking: Blocking, d: usize) -> Level {
     }
 }
 
-/// A recognized specialized pattern with its extracted parameters.
-#[derive(Debug, Clone)]
+/// A recognized kernel shape. The scalar SOP is not part of the shape:
+/// the embedding and FR kernels apply `ops.sop` per edge, so every
+/// operator set of one shape runs the same compiled kernels (and shares
+/// one autotuning decision per dimension).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Specialized {
-    /// `(MUL, RSUM, SIGMOID, MUL, ASUM)` — sigmoid graph embedding.
-    Embed(SigmoidKind),
-    /// `(SUB, NORM, SCAL(α), MUL, ASUM)` — FR force model.
-    Fr(f32),
-    /// `(SUB, NORM, TDIST, MUL, ASUM)` — t-distribution embedding.
+    /// `(MUL, RSUM, <any SOP>, MUL, ASUM)` — dot-product embedding
+    /// (sigmoid embedding, Force2Vec's positive term).
+    Embed,
+    /// `(SUB, NORM, <any SOP but TDIST>, MUL, ASUM)` — distance-scaled
+    /// force (FR model, FR-layout repulsion).
+    Fr,
+    /// `(SUB, NORM, TDIST, MUL, ASUM)` — t-distribution embedding,
+    /// whose kernel feeds the squared distance to `1/(1+s²)` without a
+    /// square root.
     TDist,
     /// `(SEL2ND, NOOP, NOOP, MUL, ASUM)` — GCN / SpMM.
     Spmm,
 }
 
-/// Inspect the actual operator variants (not just the pattern tag,
-/// which user code could set inconsistently) and return the matching
-/// specialization, if any.
+/// Inspect the actual operator variants (not the pattern tag, which
+/// user code could set inconsistently — every [`OpSet::custom`] is
+/// tagged `Custom`) and return the kernel shape they match, if any.
+/// Custom VOP/ROP/MOP/AOP, AMAX/AMIN, a NOOP MOP and the MLP set match
+/// no shape and run the generic kernel.
 pub fn specialize(ops: &OpSet) -> Option<Specialized> {
     match (&ops.vop, &ops.rop, &ops.sop, &ops.mop, &ops.aop) {
-        (VOp::Mul, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Sum) => {
-            Some(Specialized::Embed(SigmoidKind::Exact))
-        }
-        (VOp::Mul, ROp::Sum, SOp::SigmoidLut(lut), MOp::Mul, AOp::Sum) => {
-            Some(Specialized::Embed(SigmoidKind::Lut(lut.clone())))
-        }
-        (VOp::Sub, ROp::Norm, SOp::Scale(alpha), MOp::Mul, AOp::Sum) => {
-            Some(Specialized::Fr(*alpha))
-        }
+        (VOp::Mul, ROp::Sum, _, MOp::Mul, AOp::Sum) => Some(Specialized::Embed),
         (VOp::Sub, ROp::Norm, SOp::TDist, MOp::Mul, AOp::Sum) => Some(Specialized::TDist),
+        (VOp::Sub, ROp::Norm, _, MOp::Mul, AOp::Sum) => Some(Specialized::Fr),
         (VOp::Sel2nd, ROp::Noop, SOp::Noop, MOp::Mul, AOp::Sum) => Some(Specialized::Spmm),
         _ => None,
     }
 }
 
 /// The optimized FusedMM ("FusedMMopt" in Table VI): specialized
-/// register-blocked kernels for recognized patterns, generic fallback
-/// otherwise. Runs on the current rayon pool with PART1D balancing.
+/// register-blocked kernels for recognized kernel shapes (see
+/// [`specialize`]), generic fallback otherwise. Runs on the current
+/// rayon pool with PART1D balancing.
 pub fn fusedmm_opt(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
     fusedmm_opt_with(a, x, y, ops, Blocking::Auto, None, PartitionStrategy::NnzBalanced)
 }
@@ -198,7 +206,7 @@ pub fn fusedmm_opt_with(
         if matches!(level, Level::Strip | Level::Dyn) {
             let kspec = crate::autotune::global_tuner().spec_for(ops, d);
             return crate::hybrid::execute(
-                a, x, y, ops, &spec, cfg, partitions, strategy, backend, kspec,
+                a, x, y, ops, spec, cfg, partitions, strategy, backend, kspec,
             );
         }
     }
@@ -206,43 +214,31 @@ pub fn fusedmm_opt_with(
     let t0 = std::time::Instant::now();
 
     match spec {
-        Specialized::Embed(sk) => {
+        Specialized::Embed | Specialized::Fr => {
+            let embed = spec == Specialized::Embed;
+            let dyn_kern = if embed { embed_dyn_kernel(backend) } else { fr_dyn_kernel(backend) };
             let kern = match level {
-                Level::Const => embed_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked embedding kernel for d={d}"
-                    );
-                    embed_dyn_kernel(backend)
-                }),
-                Level::Strip => embed_strip_kernel(backend),
-                Level::Spec(s) => embed_spec_kernel(backend, s),
-                Level::Dyn => embed_dyn_kernel(backend),
-            };
-            parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
-                for (i, u) in rows.enumerate() {
-                    let (cols, vals) = a.row(u);
-                    kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], &sk);
+                Level::Const => {
+                    let generated = if embed { embed_kernel_for(d) } else { fr_kernel_for(d) };
+                    generated.unwrap_or_else(|| {
+                        assert!(
+                            blocking != Blocking::RegisterBlocked,
+                            "no generated register-blocked {spec:?} kernel for d={d}"
+                        );
+                        dyn_kern
+                    })
                 }
-            });
-        }
-        Specialized::Fr(alpha) => {
-            let kern = match level {
-                Level::Const => fr_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked FR kernel for d={d}"
-                    );
-                    fr_dyn_kernel(backend)
-                }),
+                Level::Strip if embed => embed_strip_kernel(backend),
                 Level::Strip => fr_strip_kernel(backend),
+                Level::Spec(s) if embed => embed_spec_kernel(backend, s),
                 Level::Spec(s) => fr_spec_kernel(backend, s),
-                Level::Dyn => fr_dyn_kernel(backend),
+                Level::Dyn => dyn_kern,
             };
+            let sop = &ops.sop;
             parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
                 for (i, u) in rows.enumerate() {
                     let (cols, vals) = a.row(u);
-                    kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], alpha);
+                    kern(x.row(u), cols, vals, y, &mut band[i * d..(i + 1) * d], sop);
                 }
             });
         }
@@ -322,23 +318,46 @@ mod tests {
     }
 
     #[test]
-    fn recognizes_the_three_specializable_presets() {
-        assert!(matches!(
-            specialize(&OpSet::sigmoid_embedding(None)),
-            Some(Specialized::Embed(SigmoidKind::Exact))
-        ));
-        assert!(matches!(specialize(&OpSet::fr_model(2.0)), Some(Specialized::Fr(a)) if a == 2.0));
-        assert!(matches!(specialize(&OpSet::tdist_embedding()), Some(Specialized::TDist)));
-        assert!(matches!(specialize(&OpSet::gcn()), Some(Specialized::Spmm)));
+    fn recognizes_the_specializable_presets() {
+        let lut = Some(Arc::new(SigmoidLut::default_table()));
+        assert_eq!(specialize(&OpSet::sigmoid_embedding(None)), Some(Specialized::Embed));
+        assert_eq!(specialize(&OpSet::sigmoid_embedding(lut)), Some(Specialized::Embed));
+        assert_eq!(specialize(&OpSet::fr_model(2.0)), Some(Specialized::Fr));
+        assert_eq!(specialize(&OpSet::tdist_embedding()), Some(Specialized::TDist));
+        assert_eq!(specialize(&OpSet::gcn()), Some(Specialized::Spmm));
+    }
+
+    #[test]
+    fn scalar_custom_sops_take_the_embed_and_fr_shapes() {
+        let custom = SOp::Custom(Arc::new(|s, a| a * fusedmm_ops::sigmoid(s) - 1.0));
+        for sop in [custom, SOp::ScaleByEdge, SOp::Relu, SOp::Tanh, SOp::Noop, SOp::Scale(0.5)] {
+            let embed = OpSet::custom(VOp::Mul, ROp::Sum, sop.clone(), MOp::Mul, AOp::Sum);
+            assert_eq!(specialize(&embed), Some(Specialized::Embed), "{sop:?}");
+            let fr = OpSet::custom(VOp::Sub, ROp::Norm, sop.clone(), MOp::Mul, AOp::Sum);
+            assert_eq!(specialize(&fr), Some(Specialized::Fr), "{sop:?}");
+        }
+        // TDIST keeps its sqrt-free kernel even when spelled as a
+        // custom set; on the dot-product shape it is just another SOP.
+        let tdist = OpSet::custom(VOp::Sub, ROp::Norm, SOp::TDist, MOp::Mul, AOp::Sum);
+        assert_eq!(specialize(&tdist), Some(Specialized::TDist));
+        let dot_tdist = OpSet::custom(VOp::Mul, ROp::Sum, SOp::TDist, MOp::Mul, AOp::Sum);
+        assert_eq!(specialize(&dot_tdist), Some(Specialized::Embed));
     }
 
     #[test]
     fn rejects_nonmatching_opsets() {
-        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
-        let ops = OpSet::custom(VOp::Add, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Sum);
-        assert!(specialize(&ops).is_none());
-        let mlp = OpSet::gnn_mlp(Arc::new(fusedmm_ops::Mlp::seeded(4, 4, 4, 1)));
-        assert!(specialize(&mlp).is_none());
+        let unmatched = [
+            OpSet::custom(VOp::Add, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Sum),
+            OpSet::custom(VOp::Add, ROp::Max, SOp::Tanh, MOp::Mul, AOp::Sum),
+            OpSet::custom(VOp::Mul, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Max),
+            OpSet::custom(VOp::Mul, ROp::Sum, SOp::Sigmoid, MOp::Noop, AOp::Sum),
+            OpSet::custom(VOp::Sub, ROp::Norm, SOp::Scale(1.0), MOp::Noop, AOp::Sum),
+            OpSet::custom(VOp::Sel2nd, ROp::Noop, SOp::Relu, MOp::Mul, AOp::Sum),
+            OpSet::gnn_mlp(Arc::new(fusedmm_ops::Mlp::seeded(4, 4, 4, 1))),
+        ];
+        for ops in &unmatched {
+            assert_eq!(specialize(ops), None, "{ops:?}");
+        }
     }
 
     #[test]
@@ -425,7 +444,6 @@ mod tests {
 
     #[test]
     fn custom_pattern_falls_back_to_generic() {
-        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
         let n = 20;
         let a = graph(n);
         let d = 8;

@@ -6,7 +6,11 @@
 //! per-edge message is ever written to memory shared across edges — but
 //! not specialized: every step is a dynamic dispatch over the [`OpSet`]
 //! enums. The specialized kernels of [`crate::genkern`] eliminate that
-//! dispatch and the scratch traffic for recognized patterns.
+//! dispatch and the scratch traffic for every op set whose VOP, ROP, MOP
+//! and AOP match a kernel shape (see [`crate::dispatch::specialize`]) —
+//! including user-defined scalar SOPs, which those kernels apply per
+//! edge. Custom VOP/ROP/MOP/AOP, AMAX/AMIN, a NOOP MOP and the MLP set
+//! run here, as does any launch with `Blocking::Generic`.
 
 use fusedmm_ops::{Message, OpSet};
 use fusedmm_sparse::csr::Csr;

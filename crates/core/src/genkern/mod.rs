@@ -38,9 +38,7 @@
 pub mod strip;
 pub mod table;
 
-use std::sync::Arc;
-
-use fusedmm_ops::{sigmoid, SigmoidLut};
+use fusedmm_ops::SOp;
 use fusedmm_sparse::dense::Dense;
 
 use crate::simd::{active_backend, F32x8, VLEN};
@@ -57,29 +55,11 @@ pub use table::{
     tdist_spec_batch_kernel, tdist_spec_kernel, KernelSpec,
 };
 
-/// Which sigmoid evaluation the embedding kernels use for SOP.
-#[derive(Debug, Clone)]
-pub enum SigmoidKind {
-    /// Exact `1/(1+e^{-x})` — matches the generic kernel bit-for-bit.
-    Exact,
-    /// Table lookup (the optimized kernels' default, as in Force2Vec).
-    Lut(Arc<SigmoidLut>),
-}
-
-impl SigmoidKind {
-    #[inline(always)]
-    fn eval(&self, s: f32) -> f32 {
-        match self {
-            SigmoidKind::Exact => sigmoid(s),
-            SigmoidKind::Lut(lut) => lut.eval(s),
-        }
-    }
-}
-
-/// Row kernel signature for the sigmoid-embedding pattern.
-pub type EmbedRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], &SigmoidKind);
-/// Row kernel signature for the FR-model pattern (`alpha` = SCAL).
-pub type FrRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], f32);
+/// Row kernel signature shared by the embedding and FR patterns: the
+/// scalar message `sop.apply_scalar(s, a_uv)` of each edge scales `y_v`
+/// (`s` is the dot product for embedding, the norm of the displacement
+/// for FR).
+pub type SopRowKernel = fn(&[f32], &[usize], &[f32], &Dense, &mut [f32], &SOp);
 /// Row kernel signature for the GCN/SpMM pattern.
 pub type SpmmRowKernel = fn(&[usize], &[f32], &Dense, &mut [f32]);
 /// Row kernel signature for the t-distribution embedding pattern.
@@ -100,21 +80,18 @@ pub struct GatheredRow<'a> {
     pub band_row: usize,
 }
 
-/// Batched short-row kernel for the embedding pattern: several gathered
-/// rows share one SIMD sweep over a common message buffer.
-pub type EmbedBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32], &SigmoidKind);
-/// Batched short-row kernel for the FR pattern.
-pub type FrBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32], f32);
+/// Batched short-row kernel for the embedding and FR patterns: several
+/// gathered rows share one SIMD sweep over a common message buffer.
+pub type SopBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32], &SOp);
 /// Batched short-row kernel for the t-distribution pattern.
 pub type TDistBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32]);
 /// Batched short-row kernel for the SpMM pattern.
 pub type SpmmBatchKernel = fn(&[GatheredRow<'_>], &Dense, &mut [f32]);
 
-/// Message-fill kernel for the embedding pattern (mega-row phase A):
-/// computes `h[i] = σ(x_u · y_{cols[i]})` for a column slice.
-pub type EmbedMsgKernel = fn(&[f32], &[usize], &Dense, &SigmoidKind, &mut [f32]);
-/// Message-fill kernel for the FR pattern.
-pub type FrMsgKernel = fn(&[f32], &[usize], &Dense, f32, &mut [f32]);
+/// Message-fill kernel for the embedding and FR patterns (mega-row
+/// phase A): computes `h[i] = sop(s(x_u, y_{cols[i]}), vals[i])` for a
+/// column slice and its aligned edge values.
+pub type SopMsgKernel = fn(&[f32], &[usize], &[f32], &Dense, &SOp, &mut [f32]);
 /// Message-fill kernel for the t-distribution pattern.
 pub type TDistMsgKernel = fn(&[f32], &[usize], &Dense, &mut [f32]);
 /// Column-span sweep kernel (mega-row phase B): folds *all* neighbor
@@ -133,21 +110,22 @@ pub type SpanSweepKernel = fn(&[usize], &[f32], &Dense, &mut [f32], usize);
 // dispatcher avoids even that by calling the `*_dyn_kernel(backend)`
 // selectors once per launch.
 
-/// Embedding, dynamic d: `z_u += σ(x_u·y_v) · y_v` per neighbor.
+/// Embedding, dynamic d: `z_u += sop(x_u·y_v, a_uv) · y_v` per neighbor.
 pub fn embed_row_dyn(
     xu: &[f32],
     cols: &[usize],
     vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    sk: &SigmoidKind,
+    sop: &SOp,
 ) {
-    embed_dyn_kernel(active_backend())(xu, cols, vals, y, zu, sk)
+    embed_dyn_kernel(active_backend())(xu, cols, vals, y, zu, sop)
 }
 
-/// FR model, dynamic d: `z_u += α·‖x_u − y_v‖ · y_v` per neighbor.
-pub fn fr_row_dyn(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], alpha: f32) {
-    fr_dyn_kernel(active_backend())(xu, cols, vals, y, zu, alpha)
+/// FR model, dynamic d: `z_u += sop(‖x_u − y_v‖, a_uv) · y_v` per
+/// neighbor.
+pub fn fr_row_dyn(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp) {
+    fr_dyn_kernel(active_backend())(xu, cols, vals, y, zu, sop)
 }
 
 /// GCN/SpMM, dynamic d: `z_u += a_uv · y_v` per neighbor.
@@ -172,16 +150,16 @@ pub fn tdist_row_dyn(xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &m
 pub fn embed_row_const<const D: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    sk: &SigmoidKind,
+    sop: &SOp,
 ) {
     debug_assert_eq!(xu.len(), D);
     let mut xreg = [0f32; D];
     xreg.copy_from_slice(xu);
     let mut zreg = [0f32; D];
-    for &v in cols {
+    for (&v, &a) in cols.iter().zip(&vals[..cols.len()]) {
         let yv = y.row(v);
         // VOP+ROP: dot product over the fixed block (fully unrolled).
         let mut acc = F32x8::zero();
@@ -196,7 +174,7 @@ pub fn embed_row_const<const D: usize>(
             k += 1;
         }
         // SOP + broadcast.
-        let h = F32x8::splat(sk.eval(s));
+        let h = F32x8::splat(sop.apply_scalar(s, a));
         // MOP+AOP: fused multiply-accumulate into the register block.
         let mut k = 0;
         while k + VLEN <= D {
@@ -217,16 +195,16 @@ pub fn embed_row_const<const D: usize>(
 pub fn fr_row_const<const D: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    alpha: f32,
+    sop: &SOp,
 ) {
     debug_assert_eq!(xu.len(), D);
     let mut xreg = [0f32; D];
     xreg.copy_from_slice(xu);
     let mut zreg = [0f32; D];
-    for &v in cols {
+    for (&v, &a) in cols.iter().zip(&vals[..cols.len()]) {
         let yv = y.row(v);
         let mut acc = F32x8::zero();
         let mut k = 0;
@@ -241,7 +219,7 @@ pub fn fr_row_const<const D: usize>(
             s += dv * dv;
             k += 1;
         }
-        let h = F32x8::splat(alpha * s.sqrt());
+        let h = F32x8::splat(sop.apply_scalar(s.sqrt(), a));
         let mut k = 0;
         while k + VLEN <= D {
             let z = F32x8::load(&zreg[k..]).fma(h, F32x8::load(&yv[k..]));
@@ -329,7 +307,7 @@ macro_rules! generate_kernels {
         pub const GENERATED_DIMS: &[usize] = &[$($d),+];
 
         /// Look up the generated embedding kernel for dimension `d`.
-        pub fn embed_kernel_for(d: usize) -> Option<EmbedRowKernel> {
+        pub fn embed_kernel_for(d: usize) -> Option<SopRowKernel> {
             match d {
                 $( $d => Some(embed_row_const::<$d>), )+
                 _ => None,
@@ -337,7 +315,7 @@ macro_rules! generate_kernels {
         }
 
         /// Look up the generated FR kernel for dimension `d`.
-        pub fn fr_kernel_for(d: usize) -> Option<FrRowKernel> {
+        pub fn fr_kernel_for(d: usize) -> Option<SopRowKernel> {
             match d {
                 $( $d => Some(fr_row_const::<$d>), )+
                 _ => None,
@@ -369,9 +347,10 @@ generate_kernels!(8, 16, 32, 64, 128, 256, 512, 1024);
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fusedmm_ops::sigmoid;
+    use fusedmm_ops::{sigmoid, SigmoidLut};
     use fusedmm_sparse::coo::{Coo, Dedup};
     use fusedmm_sparse::csr::Csr;
+    use std::sync::Arc;
 
     fn star(n: usize) -> Csr {
         let mut c = Coo::new(n, n);
@@ -393,7 +372,7 @@ mod tests {
             let y = feats(6, d, 0.7);
             let (cols, vals) = a.row(0);
             let mut z = vec![0f32; d];
-            embed_row_dyn(x.row(0), cols, vals, &y, &mut z, &SigmoidKind::Exact);
+            embed_row_dyn(x.row(0), cols, vals, &y, &mut z, &SOp::Sigmoid);
             // scalar reference
             let mut zr = vec![0f32; d];
             for &v in cols {
@@ -418,8 +397,8 @@ mod tests {
         let (cols, vals) = a.row(0);
         let mut z_dyn = vec![0f32; d];
         let mut z_const = vec![0f32; d];
-        embed_row_dyn(x.row(0), cols, vals, &y, &mut z_dyn, &SigmoidKind::Exact);
-        embed_row_const::<32>(x.row(0), cols, vals, &y, &mut z_const, &SigmoidKind::Exact);
+        embed_row_dyn(x.row(0), cols, vals, &y, &mut z_dyn, &SOp::Sigmoid);
+        embed_row_const::<32>(x.row(0), cols, vals, &y, &mut z_const, &SOp::Sigmoid);
         for k in 0..d {
             assert!((z_dyn[k] - z_const[k]).abs() < 1e-5);
         }
@@ -434,8 +413,8 @@ mod tests {
         let (cols, vals) = a.row(0);
         let mut z_dyn = vec![0f32; d];
         let mut z_const = vec![0f32; d];
-        fr_row_dyn(x.row(0), cols, vals, &y, &mut z_dyn, 0.7);
-        fr_row_const::<16>(x.row(0), cols, vals, &y, &mut z_const, 0.7);
+        fr_row_dyn(x.row(0), cols, vals, &y, &mut z_dyn, &SOp::Scale(0.7));
+        fr_row_const::<16>(x.row(0), cols, vals, &y, &mut z_const, &SOp::Scale(0.7));
         for k in 0..d {
             assert!((z_dyn[k] - z_const[k]).abs() < 1e-5);
         }
@@ -505,8 +484,8 @@ mod tests {
         let (cols, vals) = a.row(0);
         let mut z_exact = vec![0f32; d];
         let mut z_lut = vec![0f32; d];
-        embed_row_dyn(x.row(0), cols, vals, &y, &mut z_exact, &SigmoidKind::Exact);
-        let lut = SigmoidKind::Lut(Arc::new(SigmoidLut::default_table()));
+        embed_row_dyn(x.row(0), cols, vals, &y, &mut z_exact, &SOp::Sigmoid);
+        let lut = SOp::SigmoidLut(Arc::new(SigmoidLut::default_table()));
         embed_row_dyn(x.row(0), cols, vals, &y, &mut z_lut, &lut);
         for k in 0..d {
             assert!((z_exact[k] - z_lut[k]).abs() < 5e-3);
@@ -518,7 +497,7 @@ mod tests {
         let d = 8;
         let y = feats(4, d, 0.5);
         let mut z = vec![0f32; d];
-        embed_row_const::<8>(&[0.0; 8], &[], &[], &y, &mut z, &SigmoidKind::Exact);
+        embed_row_const::<8>(&[0.0; 8], &[], &[], &y, &mut z, &SOp::Sigmoid);
         assert!(z.iter().all(|&v| v == 0.0));
     }
 }

@@ -44,10 +44,11 @@ use crate::simd::NeonIsa;
 use crate::simd::{Avx2Isa, Avx512Isa};
 use crate::simd::{Backend, ScalarIsa, SimdIsa, VLEN};
 
+use fusedmm_ops::SOp;
+
 use super::{
-    EmbedBatchKernel, EmbedMsgKernel, EmbedRowKernel, FrBatchKernel, FrMsgKernel, FrRowKernel,
-    GatheredRow, SigmoidKind, SpanSweepKernel, SpmmBatchKernel, SpmmRowKernel, TDistBatchKernel,
-    TDistMsgKernel, TDistRowKernel,
+    GatheredRow, SopBatchKernel, SopMsgKernel, SopRowKernel, SpanSweepKernel, SpmmBatchKernel,
+    SpmmRowKernel, TDistBatchKernel, TDistMsgKernel, TDistRowKernel,
 };
 
 /// Neighbors whose messages are buffered per strip-mining chunk: a
@@ -188,18 +189,19 @@ fn assert_strip_dim(d: usize) {
 fn embed_row_strip_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    sk: &SigmoidKind,
+    sop: &SOp,
 ) {
     assert_strip_dim(zu.len());
+    let vals = &vals[..cols.len()];
     let mut h = [0f32; H_CHUNK];
     let mut start = 0;
     while start < cols.len() {
         let chunk = &cols[start..(start + H_CHUNK).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = sk.eval(I::dot(xu, y.row(v)));
+        for ((hi, &v), &a) in h.iter_mut().zip(chunk).zip(&vals[start..]) {
+            *hi = sop.apply_scalar(I::dot(xu, y.row(v)), a);
         }
         panel_accumulate::<I>(chunk, &h, y, zu);
         start += chunk.len();
@@ -210,18 +212,19 @@ fn embed_row_strip_body<I: SimdIsa>(
 fn fr_row_strip_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    alpha: f32,
+    sop: &SOp,
 ) {
     assert_strip_dim(zu.len());
+    let vals = &vals[..cols.len()];
     let mut h = [0f32; H_CHUNK];
     let mut start = 0;
     while start < cols.len() {
         let chunk = &cols[start..(start + H_CHUNK).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = alpha * I::sqdist(xu, y.row(v)).sqrt();
+        for ((hi, &v), &a) in h.iter_mut().zip(chunk).zip(&vals[start..]) {
+            *hi = sop.apply_scalar(I::sqdist(xu, y.row(v)).sqrt(), a);
         }
         panel_accumulate::<I>(chunk, &h, y, zu);
         start += chunk.len();
@@ -304,33 +307,28 @@ fn row_slice(band: &mut [f32], band_row: usize, d: usize) -> &mut [f32] {
 }
 
 #[inline(always)]
-fn embed_batch_body<I: SimdIsa>(
-    rows: &[GatheredRow<'_>],
-    y: &Dense,
-    band: &mut [f32],
-    sk: &SigmoidKind,
-) {
+fn embed_batch_body<I: SimdIsa>(rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sop: &SOp) {
     let d = y.ncols();
     assert_strip_dim(d);
     assert_batch_fits(rows);
     let mut h = [0f32; H_CHUNK];
     for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = sk.eval(I::dot(row.xu, y.row(v)));
+        for ((hi, &v), &a) in h.iter_mut().zip(row.cols).zip(&row.vals[..row.cols.len()]) {
+            *hi = sop.apply_scalar(I::dot(row.xu, y.row(v)), a);
         }
         panel_overwrite::<I>(row.cols, &h[..row.cols.len()], y, row_slice(band, row.band_row, d));
     }
 }
 
 #[inline(always)]
-fn fr_batch_body<I: SimdIsa>(rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], alpha: f32) {
+fn fr_batch_body<I: SimdIsa>(rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sop: &SOp) {
     let d = y.ncols();
     assert_strip_dim(d);
     assert_batch_fits(rows);
     let mut h = [0f32; H_CHUNK];
     for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = alpha * I::sqdist(row.xu, y.row(v)).sqrt();
+        for ((hi, &v), &a) in h.iter_mut().zip(row.cols).zip(&row.vals[..row.cols.len()]) {
+            *hi = sop.apply_scalar(I::sqdist(row.xu, y.row(v)).sqrt(), a);
         }
         panel_overwrite::<I>(row.cols, &h[..row.cols.len()], y, row_slice(band, row.band_row, d));
     }
@@ -364,22 +362,41 @@ fn spmm_batch_body<I: SimdIsa>(rows: &[GatheredRow<'_>], y: &Dense, band: &mut [
 fn embed_msg_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
+    vals: &[f32],
     y: &Dense,
-    sk: &SigmoidKind,
+    sop: &SOp,
     h: &mut [f32],
 ) {
-    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    for (hi, &v) in h.iter_mut().zip(cols) {
-        *hi = sk.eval(I::dot(xu, y.row(v)));
+    assert_msg_slices(cols, vals, h);
+    for ((hi, &v), &a) in h.iter_mut().zip(cols).zip(vals) {
+        *hi = sop.apply_scalar(I::dot(xu, y.row(v)), a);
     }
 }
 
 #[inline(always)]
-fn fr_msg_body<I: SimdIsa>(xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]) {
-    assert_eq!(cols.len(), h.len(), "message slice length != neighbor slice length");
-    for (hi, &v) in h.iter_mut().zip(cols) {
-        *hi = alpha * I::sqdist(xu, y.row(v)).sqrt();
+fn fr_msg_body<I: SimdIsa>(
+    xu: &[f32],
+    cols: &[usize],
+    vals: &[f32],
+    y: &Dense,
+    sop: &SOp,
+    h: &mut [f32],
+) {
+    assert_msg_slices(cols, vals, h);
+    for ((hi, &v), &a) in h.iter_mut().zip(cols).zip(vals) {
+        *hi = sop.apply_scalar(I::sqdist(xu, y.row(v)).sqrt(), a);
     }
+}
+
+#[inline(always)]
+fn assert_msg_slices(cols: &[usize], vals: &[f32], h: &[f32]) {
+    assert!(
+        cols.len() == h.len() && vals.len() == h.len(),
+        "message slice length {} != neighbor slice length {} / value slice length {}",
+        h.len(),
+        cols.len(),
+        vals.len()
+    );
 }
 
 #[inline(always)]
@@ -475,14 +492,14 @@ fn span_sweep_body<I: SimdIsa>(
 fn embed_row_dyn_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    sk: &SigmoidKind,
+    sop: &SOp,
 ) {
-    for &v in cols {
+    for (&v, &a) in cols.iter().zip(&vals[..cols.len()]) {
         let yv = y.row(v);
-        let h = sk.eval(I::dot(xu, yv));
+        let h = sop.apply_scalar(I::dot(xu, yv), a);
         I::axpy(h, yv, zu);
     }
 }
@@ -491,14 +508,14 @@ fn embed_row_dyn_body<I: SimdIsa>(
 fn fr_row_dyn_body<I: SimdIsa>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    alpha: f32,
+    sop: &SOp,
 ) {
-    for &v in cols {
+    for (&v, &a) in cols.iter().zip(&vals[..cols.len()]) {
         let yv = y.row(v);
-        let h = alpha * I::sqdist(xu, yv).sqrt();
+        let h = sop.apply_scalar(I::sqdist(xu, yv).sqrt(), a);
         I::axpy(h, yv, zu);
     }
 }
@@ -585,36 +602,36 @@ macro_rules! isa_entries {
 }
 
 isa_entries!(embed_row_strip_body => embed_row_strip_scalar, embed_row_strip_avx2, embed_row_strip_avx512, embed_row_strip_neon;
-    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sk: &SigmoidKind));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp));
 isa_entries!(fr_row_strip_body => fr_row_strip_scalar, fr_row_strip_avx2, fr_row_strip_avx512, fr_row_strip_neon;
-    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], alpha: f32));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp));
 isa_entries!(tdist_row_strip_body => tdist_row_strip_scalar, tdist_row_strip_avx2, tdist_row_strip_avx512, tdist_row_strip_neon;
     (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 isa_entries!(spmm_row_strip_body => spmm_row_strip_scalar, spmm_row_strip_avx2, spmm_row_strip_avx512, spmm_row_strip_neon;
     (cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 
 isa_entries!(embed_batch_body => embed_batch_scalar, embed_batch_avx2, embed_batch_avx512, embed_batch_neon;
-    (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sk: &SigmoidKind));
+    (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sop: &SOp));
 isa_entries!(fr_batch_body => fr_batch_scalar, fr_batch_avx2, fr_batch_avx512, fr_batch_neon;
-    (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], alpha: f32));
+    (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sop: &SOp));
 isa_entries!(tdist_batch_body => tdist_batch_scalar, tdist_batch_avx2, tdist_batch_avx512, tdist_batch_neon;
     (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
 isa_entries!(spmm_batch_body => spmm_batch_scalar, spmm_batch_avx2, spmm_batch_avx512, spmm_batch_neon;
     (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
 
 isa_entries!(embed_msg_body => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon;
-    (xu: &[f32], cols: &[usize], y: &Dense, sk: &SigmoidKind, h: &mut [f32]));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, sop: &SOp, h: &mut [f32]));
 isa_entries!(fr_msg_body => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon;
-    (xu: &[f32], cols: &[usize], y: &Dense, alpha: f32, h: &mut [f32]));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, sop: &SOp, h: &mut [f32]));
 isa_entries!(tdist_msg_body => tdist_msg_scalar, tdist_msg_avx2, tdist_msg_avx512, tdist_msg_neon;
     (xu: &[f32], cols: &[usize], y: &Dense, h: &mut [f32]));
 isa_entries!(span_sweep_body => span_sweep_scalar, span_sweep_avx2, span_sweep_avx512, span_sweep_neon;
     (cols: &[usize], h: &[f32], y: &Dense, z_span: &mut [f32], span_off: usize));
 
 isa_entries!(embed_row_dyn_body => embed_row_dyn_scalar, embed_row_dyn_avx2, embed_row_dyn_avx512, embed_row_dyn_neon;
-    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sk: &SigmoidKind));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp));
 isa_entries!(fr_row_dyn_body => fr_row_dyn_scalar, fr_row_dyn_avx2, fr_row_dyn_avx512, fr_row_dyn_neon;
-    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], alpha: f32));
+    (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp));
 isa_entries!(tdist_row_dyn_body => tdist_row_dyn_scalar, tdist_row_dyn_avx2, tdist_row_dyn_avx512, tdist_row_dyn_neon;
     (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 isa_entries!(spmm_row_dyn_body => spmm_row_dyn_scalar, spmm_row_dyn_avx2, spmm_row_dyn_avx512, spmm_row_dyn_neon;
@@ -645,13 +662,13 @@ macro_rules! select {
 /// # Panics
 /// Panics when `b` is not available on this CPU. The returned kernel
 /// panics when invoked with `d` not a positive multiple of 8.
-pub fn embed_strip_kernel(b: Backend) -> EmbedRowKernel {
+pub fn embed_strip_kernel(b: Backend) -> SopRowKernel {
     select!(b => embed_row_strip_scalar, embed_row_strip_avx2, embed_row_strip_avx512, embed_row_strip_neon)
 }
 
 /// The strip-mined FR kernel compiled for `b` (see
 /// [`embed_strip_kernel`] for the contract).
-pub fn fr_strip_kernel(b: Backend) -> FrRowKernel {
+pub fn fr_strip_kernel(b: Backend) -> SopRowKernel {
     select!(b => fr_row_strip_scalar, fr_row_strip_avx2, fr_row_strip_avx512, fr_row_strip_neon)
 }
 
@@ -674,13 +691,13 @@ pub fn spmm_strip_kernel(b: Backend) -> SpmmRowKernel {
 /// Panics when `b` is not available on this CPU. The returned kernel
 /// panics when `d` is not a positive multiple of 8 or the batch stages
 /// more than [`H_CHUNK`] neighbors in total.
-pub fn embed_batch_kernel(b: Backend) -> EmbedBatchKernel {
+pub fn embed_batch_kernel(b: Backend) -> SopBatchKernel {
     select!(b => embed_batch_scalar, embed_batch_avx2, embed_batch_avx512, embed_batch_neon)
 }
 
 /// The short-row FR batch kernel compiled for `b` (see
 /// [`embed_batch_kernel`] for the contract).
-pub fn fr_batch_kernel(b: Backend) -> FrBatchKernel {
+pub fn fr_batch_kernel(b: Backend) -> SopBatchKernel {
     select!(b => fr_batch_scalar, fr_batch_avx2, fr_batch_avx512, fr_batch_neon)
 }
 
@@ -699,12 +716,12 @@ pub fn spmm_batch_kernel(b: Backend) -> SpmmBatchKernel {
 /// The mega-row embedding message-fill kernel compiled for `b`
 /// (phase A of the split-mega-row pass; each neighbor slice is an
 /// independent fill).
-pub fn embed_msg_kernel(b: Backend) -> EmbedMsgKernel {
+pub fn embed_msg_kernel(b: Backend) -> SopMsgKernel {
     select!(b => embed_msg_scalar, embed_msg_avx2, embed_msg_avx512, embed_msg_neon)
 }
 
 /// The mega-row FR message-fill kernel compiled for `b`.
-pub fn fr_msg_kernel(b: Backend) -> FrMsgKernel {
+pub fn fr_msg_kernel(b: Backend) -> SopMsgKernel {
     select!(b => fr_msg_scalar, fr_msg_avx2, fr_msg_avx512, fr_msg_neon)
 }
 
@@ -724,12 +741,12 @@ pub fn span_sweep_kernel(b: Backend) -> SpanSweepKernel {
 ///
 /// # Panics
 /// Panics when `b` is not available on this CPU.
-pub fn embed_dyn_kernel(b: Backend) -> EmbedRowKernel {
+pub fn embed_dyn_kernel(b: Backend) -> SopRowKernel {
     select!(b => embed_row_dyn_scalar, embed_row_dyn_avx2, embed_row_dyn_avx512, embed_row_dyn_neon)
 }
 
 /// The dynamic-dimension FR kernel compiled for `b` (any `d`).
-pub fn fr_dyn_kernel(b: Backend) -> FrRowKernel {
+pub fn fr_dyn_kernel(b: Backend) -> SopRowKernel {
     select!(b => fr_row_dyn_scalar, fr_row_dyn_avx2, fr_row_dyn_avx512, fr_row_dyn_neon)
 }
 
@@ -781,8 +798,8 @@ mod tests {
                 // Embedding
                 let mut z_dyn = vec![0f32; d];
                 let mut z_strip = vec![0f32; d];
-                embed_dyn_kernel(b)(x.row(3), cols, vals, &y, &mut z_dyn, &SigmoidKind::Exact);
-                embed_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, &SigmoidKind::Exact);
+                embed_dyn_kernel(b)(x.row(3), cols, vals, &y, &mut z_dyn, &SOp::Sigmoid);
+                embed_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, &SOp::Sigmoid);
                 for k in 0..d {
                     assert!(
                         (z_dyn[k] - z_strip[k]).abs() < 1e-5,
@@ -810,8 +827,8 @@ mod tests {
                 // FR (sqrt amplifies tiny sqdist differences; keep 1e-4)
                 let mut z_dyn = vec![0f32; d];
                 let mut z_strip = vec![0f32; d];
-                fr_dyn_kernel(b)(x.row(3), cols, vals, &y, &mut z_dyn, 0.6);
-                fr_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, 0.6);
+                fr_dyn_kernel(b)(x.row(3), cols, vals, &y, &mut z_dyn, &SOp::Scale(0.6));
+                fr_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, &SOp::Scale(0.6));
                 for k in 0..d {
                     assert!((z_dyn[k] - z_strip[k]).abs() < 1e-4, "fr {b} d={d} k={k}");
                 }
@@ -872,18 +889,11 @@ mod tests {
                         band_row: i,
                     })
                     .collect();
-                embed_batch_kernel(b)(&batch, &y, &mut band, &SigmoidKind::Exact);
+                embed_batch_kernel(b)(&batch, &y, &mut band, &SOp::Sigmoid);
                 for (i, &u) in rows_in_batch.iter().enumerate() {
                     let mut z_strip = vec![0f32; d];
                     let (cols, vals) = a.row(u);
-                    embed_strip_kernel(b)(
-                        x.row(u),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z_strip,
-                        &SigmoidKind::Exact,
-                    );
+                    embed_strip_kernel(b)(x.row(u), cols, vals, &y, &mut z_strip, &SOp::Sigmoid);
                     assert_eq!(&band[i * d..(i + 1) * d], &z_strip[..], "embed {b} d={d} row {u}");
                 }
                 // SpMM batch too.
@@ -915,13 +925,27 @@ mod tests {
                     continue;
                 }
                 let mut z_strip = vec![0f32; d];
-                embed_strip_kernel(b)(x.row(7), cols, vals, &y, &mut z_strip, &SigmoidKind::Exact);
+                embed_strip_kernel(b)(x.row(7), cols, vals, &y, &mut z_strip, &SOp::Sigmoid);
                 // Phase A: messages filled in two independent slices.
                 let mut h = vec![0f32; cols.len()];
                 let split = cols.len() / 3;
                 let (h0, h1) = h.split_at_mut(split);
-                embed_msg_kernel(b)(x.row(7), &cols[..split], &y, &SigmoidKind::Exact, h0);
-                embed_msg_kernel(b)(x.row(7), &cols[split..], &y, &SigmoidKind::Exact, h1);
+                embed_msg_kernel(b)(
+                    x.row(7),
+                    &cols[..split],
+                    &vals[..split],
+                    &y,
+                    &SOp::Sigmoid,
+                    h0,
+                );
+                embed_msg_kernel(b)(
+                    x.row(7),
+                    &cols[split..],
+                    &vals[split..],
+                    &y,
+                    &SOp::Sigmoid,
+                    h1,
+                );
                 // Phase B: every VLEN-aligned span split must agree.
                 for spans in [vec![d], vec![d / 2, d / 2], vec![VLEN; d / VLEN]] {
                     let mut z = vec![0f32; d];

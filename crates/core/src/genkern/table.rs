@@ -49,10 +49,12 @@ use crate::simd::NeonIsa;
 use crate::simd::{Avx2Isa, Avx512Isa};
 use crate::simd::{Backend, ScalarIsa, SimdIsa, VLEN};
 
+use fusedmm_ops::SOp;
+
 use super::strip::H_CHUNK;
 use super::{
-    EmbedBatchKernel, EmbedRowKernel, FrBatchKernel, FrRowKernel, GatheredRow, SigmoidKind,
-    SpanSweepKernel, SpmmBatchKernel, SpmmRowKernel, TDistBatchKernel, TDistRowKernel,
+    GatheredRow, SopBatchKernel, SopRowKernel, SpanSweepKernel, SpmmBatchKernel, SpmmRowKernel,
+    TDistBatchKernel, TDistRowKernel,
 };
 
 /// Main-pass panel counts the table instantiates (units of the
@@ -248,17 +250,18 @@ fn band_row_slice(band: &mut [f32], band_row: usize, d: usize) -> &mut [f32] {
 fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    sk: &SigmoidKind,
+    sop: &SOp,
 ) {
+    let vals = &vals[..cols.len()];
     let mut h = [0f32; HC];
     let mut start = 0;
     while start < cols.len() {
         let chunk = &cols[start..(start + HC).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = sk.eval(I::dot(xu, y.row(v)));
+        for ((hi, &v), &a) in h.iter_mut().zip(chunk).zip(&vals[start..]) {
+            *hi = sop.apply_scalar(I::dot(xu, y.row(v)), a);
         }
         panel_spec::<I, MAIN, true>(chunk, &h, y, zu);
         start += chunk.len();
@@ -269,17 +272,18 @@ fn embed_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
 fn fr_spec_row_body<I: SimdIsa, const MAIN: usize, const HC: usize>(
     xu: &[f32],
     cols: &[usize],
-    _vals: &[f32],
+    vals: &[f32],
     y: &Dense,
     zu: &mut [f32],
-    alpha: f32,
+    sop: &SOp,
 ) {
+    let vals = &vals[..cols.len()];
     let mut h = [0f32; HC];
     let mut start = 0;
     while start < cols.len() {
         let chunk = &cols[start..(start + HC).min(cols.len())];
-        for (i, &v) in chunk.iter().enumerate() {
-            h[i] = alpha * I::sqdist(xu, y.row(v)).sqrt();
+        for ((hi, &v), &a) in h.iter_mut().zip(chunk).zip(&vals[start..]) {
+            *hi = sop.apply_scalar(I::sqdist(xu, y.row(v)).sqrt(), a);
         }
         panel_spec::<I, MAIN, true>(chunk, &h, y, zu);
         start += chunk.len();
@@ -328,14 +332,14 @@ fn embed_spec_batch_body<I: SimdIsa, const MAIN: usize>(
     rows: &[GatheredRow<'_>],
     y: &Dense,
     band: &mut [f32],
-    sk: &SigmoidKind,
+    sop: &SOp,
 ) {
     let d = y.ncols();
     assert_spec_batch_fits(rows);
     let mut h = [0f32; H_CHUNK];
     for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = sk.eval(I::dot(row.xu, y.row(v)));
+        for ((hi, &v), &a) in h.iter_mut().zip(row.cols).zip(&row.vals[..row.cols.len()]) {
+            *hi = sop.apply_scalar(I::dot(row.xu, y.row(v)), a);
         }
         panel_spec::<I, MAIN, false>(
             row.cols,
@@ -351,14 +355,14 @@ fn fr_spec_batch_body<I: SimdIsa, const MAIN: usize>(
     rows: &[GatheredRow<'_>],
     y: &Dense,
     band: &mut [f32],
-    alpha: f32,
+    sop: &SOp,
 ) {
     let d = y.ncols();
     assert_spec_batch_fits(rows);
     let mut h = [0f32; H_CHUNK];
     for row in rows {
-        for (i, &v) in row.cols.iter().enumerate() {
-            h[i] = alpha * I::sqdist(row.xu, y.row(v)).sqrt();
+        for ((hi, &v), &a) in h.iter_mut().zip(row.cols).zip(&row.vals[..row.cols.len()]) {
+            *hi = sop.apply_scalar(I::sqdist(row.xu, y.row(v)).sqrt(), a);
         }
         panel_spec::<I, MAIN, false>(
             row.cols,
@@ -526,18 +530,18 @@ macro_rules! spec_entries {
 }
 
 spec_entries!(embed_spec_row_body => embed_spec_scalar, embed_spec_avx2, embed_spec_avx512, embed_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sk: &SigmoidKind));
+    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp));
 spec_entries!(fr_spec_row_body => fr_spec_scalar, fr_spec_avx2, fr_spec_avx512, fr_spec_neon;
-    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], alpha: f32));
+    [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32], sop: &SOp));
 spec_entries!(tdist_spec_row_body => tdist_spec_scalar, tdist_spec_avx2, tdist_spec_avx512, tdist_spec_neon;
     [MAIN, HC]; (xu: &[f32], cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 spec_entries!(spmm_spec_row_body => spmm_spec_scalar, spmm_spec_avx2, spmm_spec_avx512, spmm_spec_neon;
     [MAIN]; (cols: &[usize], vals: &[f32], y: &Dense, zu: &mut [f32]));
 
 spec_entries!(embed_spec_batch_body => embed_spec_batch_scalar, embed_spec_batch_avx2, embed_spec_batch_avx512, embed_spec_batch_neon;
-    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sk: &SigmoidKind));
+    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sop: &SOp));
 spec_entries!(fr_spec_batch_body => fr_spec_batch_scalar, fr_spec_batch_avx2, fr_spec_batch_avx512, fr_spec_batch_neon;
-    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], alpha: f32));
+    [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32], sop: &SOp));
 spec_entries!(tdist_spec_batch_body => tdist_spec_batch_scalar, tdist_spec_batch_avx2, tdist_spec_batch_avx512, tdist_spec_batch_neon;
     [MAIN]; (rows: &[GatheredRow<'_>], y: &Dense, band: &mut [f32]));
 spec_entries!(spmm_spec_batch_body => spmm_spec_batch_scalar, spmm_spec_batch_avx2, spmm_spec_batch_avx512, spmm_spec_batch_neon;
@@ -613,13 +617,13 @@ macro_rules! select_spec {
 ///
 /// # Panics
 /// Panics when `b` is not available on this CPU.
-pub fn embed_spec_kernel(b: Backend, spec: KernelSpec) -> EmbedRowKernel {
+pub fn embed_spec_kernel(b: Backend, spec: KernelSpec) -> SopRowKernel {
     select_spec!(b, spec, shape_mh => embed_spec_scalar, embed_spec_avx2, embed_spec_avx512, embed_spec_neon)
 }
 
 /// The shaped FR row kernel compiled for `(b, spec)` (see
 /// [`embed_spec_kernel`] for the contract).
-pub fn fr_spec_kernel(b: Backend, spec: KernelSpec) -> FrRowKernel {
+pub fn fr_spec_kernel(b: Backend, spec: KernelSpec) -> SopRowKernel {
     select_spec!(b, spec, shape_mh => fr_spec_scalar, fr_spec_avx2, fr_spec_avx512, fr_spec_neon)
 }
 
@@ -643,13 +647,13 @@ pub fn spmm_spec_kernel(b: Backend, spec: KernelSpec) -> SpmmRowKernel {
 /// # Panics
 /// Panics when `b` is not available on this CPU. The returned kernel
 /// panics when a gathered row stages more than [`H_CHUNK`] neighbors.
-pub fn embed_spec_batch_kernel(b: Backend, spec: KernelSpec) -> EmbedBatchKernel {
+pub fn embed_spec_batch_kernel(b: Backend, spec: KernelSpec) -> SopBatchKernel {
     select_spec!(b, spec, shape_m => embed_spec_batch_scalar, embed_spec_batch_avx2, embed_spec_batch_avx512, embed_spec_batch_neon)
 }
 
 /// The shaped short-row FR batch kernel compiled for `(b, spec)` (see
 /// [`embed_spec_batch_kernel`] for the contract).
-pub fn fr_spec_batch_kernel(b: Backend, spec: KernelSpec) -> FrBatchKernel {
+pub fn fr_spec_batch_kernel(b: Backend, spec: KernelSpec) -> SopBatchKernel {
     select_spec!(b, spec, shape_m => fr_spec_batch_scalar, fr_spec_batch_avx2, fr_spec_batch_avx512, fr_spec_batch_neon)
 }
 
@@ -749,17 +753,10 @@ mod tests {
                     continue;
                 }
                 let mut z_strip = vec![0f32; d];
-                embed_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, &SigmoidKind::Exact);
+                embed_strip_kernel(b)(x.row(3), cols, vals, &y, &mut z_strip, &SOp::Sigmoid);
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let mut z = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(
-                        x.row(3),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z,
-                        &SigmoidKind::Exact,
-                    );
+                    embed_spec_kernel(b, spec)(x.row(3), cols, vals, &y, &mut z, &SOp::Sigmoid);
                     assert_eq!(z, z_strip, "embed {b} d={d} {}", spec.label());
                 }
                 let mut z_strip = vec![0f32; d];
@@ -796,17 +793,10 @@ mod tests {
                     continue;
                 }
                 let mut z_dyn = vec![0f32; d];
-                embed_dyn_kernel(b)(x.row(5), cols, vals, &y, &mut z_dyn, &SigmoidKind::Exact);
+                embed_dyn_kernel(b)(x.row(5), cols, vals, &y, &mut z_dyn, &SOp::Sigmoid);
                 for spec in candidate_specs(b.lanes(), d, true) {
                     let mut z = vec![0f32; d];
-                    embed_spec_kernel(b, spec)(
-                        x.row(5),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z,
-                        &SigmoidKind::Exact,
-                    );
+                    embed_spec_kernel(b, spec)(x.row(5), cols, vals, &y, &mut z, &SOp::Sigmoid);
                     for k in 0..d {
                         assert!(
                             (z[k] - z_dyn[k]).abs() < 1e-5,
@@ -863,7 +853,7 @@ mod tests {
                 vals,
                 &y,
                 &mut z2,
-                &SigmoidKind::Exact,
+                &SOp::Sigmoid,
             );
             embed_spec_kernel(Backend::Avx512, spec)(
                 x.row(5),
@@ -871,7 +861,7 @@ mod tests {
                 vals,
                 &y,
                 &mut z5,
-                &SigmoidKind::Exact,
+                &SOp::Sigmoid,
             );
             for k in 0..d {
                 assert_eq!(z2[k].to_bits(), z5[k].to_bits(), "embed d={d} k={k}");
@@ -900,18 +890,11 @@ mod tests {
                         band_row: i,
                     })
                     .collect();
-                embed_spec_batch_kernel(b, spec)(&batch, &y, &mut band, &SigmoidKind::Exact);
+                embed_spec_batch_kernel(b, spec)(&batch, &y, &mut band, &SOp::Sigmoid);
                 for (i, &u) in rows_in_batch.iter().enumerate() {
                     let mut z_row = vec![0f32; d];
                     let (cols, vals) = a.row(u);
-                    embed_spec_kernel(b, spec)(
-                        x.row(u),
-                        cols,
-                        vals,
-                        &y,
-                        &mut z_row,
-                        &SigmoidKind::Exact,
-                    );
+                    embed_spec_kernel(b, spec)(x.row(u), cols, vals, &y, &mut z_row, &SOp::Sigmoid);
                     assert_eq!(
                         &band[i * d..(i + 1) * d],
                         &z_row[..],
@@ -936,9 +919,9 @@ mod tests {
         let b = active_backend();
         let spec = KernelSpec::FALLBACK;
         let mut z_row = vec![0f32; d];
-        embed_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, &SigmoidKind::Exact);
+        embed_spec_kernel(b, spec)(x.row(7), cols, vals, &y, &mut z_row, &SOp::Sigmoid);
         let mut h = vec![0f32; cols.len()];
-        super::super::embed_msg_kernel(b)(x.row(7), cols, &y, &SigmoidKind::Exact, &mut h);
+        super::super::embed_msg_kernel(b)(x.row(7), cols, vals, &y, &SOp::Sigmoid, &mut h);
         for spans in [vec![d], vec![48, 52], vec![96, 4]] {
             let mut z = vec![0f32; d];
             let mut off = 0;
@@ -950,6 +933,91 @@ mod tests {
             // fold per element matches the row kernel exactly.
             assert_eq!(z, z_row, "embed span d={d}");
         }
-        let _ = vals;
+    }
+
+    #[test]
+    fn custom_sops_bit_identical_to_presets_on_every_backend() {
+        // Every kernel family applies the SOP at the same point, so a
+        // closure computing a preset's expression reproduces the preset
+        // bit for bit — on every available backend, not only the
+        // active one.
+        use super::super::{embed_msg_kernel, fr_dyn_kernel, fr_msg_kernel, fr_strip_kernel};
+        use super::super::{strip_minable, SopBatchKernel, SopMsgKernel};
+        use std::sync::Arc;
+        fn bits(z: &[f32]) -> Vec<u32> {
+            z.iter().map(|v| v.to_bits()).collect()
+        }
+        let sigmoid = SOp::Custom(Arc::new(|s, _| fusedmm_ops::sigmoid(s)));
+        let scale = SOp::Custom(Arc::new(|s, _| 0.4 * s));
+        let n = 80;
+        let a = chain(n, 70);
+        let spec = KernelSpec::FALLBACK;
+        for d in [8usize, 20, 96] {
+            let x = feats(n, d, 0.2);
+            let y = feats(n, d, 0.8);
+            let (cols, vals) = a.row(3);
+            let batch =
+                [GatheredRow { xu: x.row(4), cols: &cols[..5], vals: &vals[..5], band_row: 0 }];
+            for &b in Backend::ALL {
+                if !b.is_available() {
+                    continue;
+                }
+                for (preset, custom) in [(SOp::Sigmoid, &sigmoid), (SOp::Scale(0.4), &scale)] {
+                    let embed = matches!(preset, SOp::Sigmoid);
+                    let (mut rows, batch_k, msg_k): (
+                        Vec<SopRowKernel>,
+                        SopBatchKernel,
+                        SopMsgKernel,
+                    ) = if embed {
+                        (
+                            vec![embed_dyn_kernel(b), embed_spec_kernel(b, spec)],
+                            embed_spec_batch_kernel(b, spec),
+                            embed_msg_kernel(b),
+                        )
+                    } else {
+                        (
+                            vec![fr_dyn_kernel(b), fr_spec_kernel(b, spec)],
+                            fr_spec_batch_kernel(b, spec),
+                            fr_msg_kernel(b),
+                        )
+                    };
+                    if strip_minable(d) {
+                        rows.push(if embed { embed_strip_kernel(b) } else { fr_strip_kernel(b) });
+                    }
+                    for (k, kern) in rows.into_iter().enumerate() {
+                        let run = |sop: &SOp| {
+                            let mut z = vec![0f32; d];
+                            kern(x.row(3), cols, vals, &y, &mut z, sop);
+                            z
+                        };
+                        assert_eq!(
+                            bits(&run(&preset)),
+                            bits(&run(custom)),
+                            "{preset:?} row kernel {k} {b} d={d}"
+                        );
+                    }
+                    let run_batch = |sop: &SOp| {
+                        let mut band = vec![0f32; d];
+                        batch_k(&batch, &y, &mut band, sop);
+                        band
+                    };
+                    assert_eq!(
+                        bits(&run_batch(&preset)),
+                        bits(&run_batch(custom)),
+                        "{preset:?} batch {b} d={d}"
+                    );
+                    let run_msg = |sop: &SOp| {
+                        let mut h = vec![0f32; cols.len()];
+                        msg_k(x.row(3), cols, vals, &y, sop, &mut h);
+                        h
+                    };
+                    assert_eq!(
+                        bits(&run_msg(&preset)),
+                        bits(&run_msg(custom)),
+                        "{preset:?} msg {b} d={d}"
+                    );
+                }
+            }
+        }
     }
 }

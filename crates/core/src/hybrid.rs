@@ -58,10 +58,10 @@ use crate::simd::{Backend, VLEN};
 /// it never affects results.
 const MSG_CHUNK: usize = 2048;
 
-/// Phase-A message-fill shape (`xu`, neighbor slice, message slice);
-/// named so the SpMM arm can spell its absent fill without a clippy
-/// type-complexity lint.
-type MsgFill = fn(&[f32], &[usize], &mut [f32]);
+/// Phase-A message-fill shape (`xu`, neighbor slice, aligned edge
+/// values, message slice); named so the SpMM arm can spell its absent
+/// fill without a clippy type-complexity lint.
+type MsgFill = fn(&[f32], &[usize], &[f32], &mut [f32]);
 
 /// Degree thresholds for [`Blocking::Hybrid`](crate::Blocking::Hybrid).
 ///
@@ -104,7 +104,7 @@ pub(crate) fn execute(
     x: &Dense,
     y: &Dense,
     ops: &OpSet,
-    spec: &Specialized,
+    spec: Specialized,
     cfg: HybridConfig,
     partitions: Option<usize>,
     strategy: PartitionStrategy,
@@ -118,10 +118,21 @@ pub(crate) fn execute(
     let sweep = span_spec_kernel(backend, kspec);
 
     match spec {
-        Specialized::Embed(sk) => {
-            let batch = embed_spec_batch_kernel(backend, kspec);
-            let strip = embed_spec_kernel(backend, kspec);
-            let msg = embed_msg_kernel(backend);
+        Specialized::Embed | Specialized::Fr => {
+            let (batch, strip, msg) = if spec == Specialized::Embed {
+                (
+                    embed_spec_batch_kernel(backend, kspec),
+                    embed_spec_kernel(backend, kspec),
+                    embed_msg_kernel(backend),
+                )
+            } else {
+                (
+                    fr_spec_batch_kernel(backend, kspec),
+                    fr_spec_kernel(backend, kspec),
+                    fr_msg_kernel(backend),
+                )
+            };
+            let sop = &ops.sop;
             run_passes(
                 a,
                 x,
@@ -134,38 +145,14 @@ pub(crate) fn execute(
                 partitions,
                 strategy,
                 backend,
-                |rows, band| batch(rows, y, band, sk),
+                |rows, band| batch(rows, y, band, sop),
                 |u, zu| {
                     let (cols, vals) = a.row(u);
-                    strip(x.row(u), cols, vals, y, zu, sk)
+                    strip(x.row(u), cols, vals, y, zu, sop)
                 },
-                Some(|xu: &[f32], cols: &[usize], h: &mut [f32]| msg(xu, cols, y, sk, h)),
-                sweep,
-            )
-        }
-        Specialized::Fr(alpha) => {
-            let alpha = *alpha;
-            let batch = fr_spec_batch_kernel(backend, kspec);
-            let strip = fr_spec_kernel(backend, kspec);
-            let msg = fr_msg_kernel(backend);
-            run_passes(
-                a,
-                x,
-                y,
-                ops,
-                d,
-                short_cut,
-                mega_min,
-                parts,
-                partitions,
-                strategy,
-                backend,
-                |rows, band| batch(rows, y, band, alpha),
-                |u, zu| {
-                    let (cols, vals) = a.row(u);
-                    strip(x.row(u), cols, vals, y, zu, alpha)
-                },
-                Some(|xu: &[f32], cols: &[usize], h: &mut [f32]| msg(xu, cols, y, alpha, h)),
+                Some(|xu: &[f32], cols: &[usize], vals: &[f32], h: &mut [f32]| {
+                    msg(xu, cols, vals, y, sop, h)
+                }),
                 sweep,
             )
         }
@@ -190,7 +177,9 @@ pub(crate) fn execute(
                     let (cols, vals) = a.row(u);
                     strip(x.row(u), cols, vals, y, zu)
                 },
-                Some(|xu: &[f32], cols: &[usize], h: &mut [f32]| msg(xu, cols, y, h)),
+                Some(|xu: &[f32], cols: &[usize], _vals: &[f32], h: &mut [f32]| {
+                    msg(xu, cols, y, h)
+                }),
                 sweep,
             )
         }
@@ -247,7 +236,7 @@ fn run_passes<B, S, M>(
 where
     B: Fn(&[GatheredRow<'_>], &mut [f32]) + Sync,
     S: Fn(usize, &mut [f32]) + Sync,
-    M: Fn(&[f32], &[usize], &mut [f32]) + Sync,
+    M: Fn(&[f32], &[usize], &[f32], &mut [f32]) + Sync,
 {
     // One census pass over the row pointers — degrees are re-derived
     // from `rowptr` everywhere below (one subtraction on data the
@@ -384,7 +373,8 @@ where
                         let take = rest.len().min(MSG_CHUNK);
                         let (chunk, tail) = rest.split_at_mut(take);
                         let ccols = &cols[off..off + take];
-                        s.spawn(move |_| msg(xu, ccols, chunk));
+                        let cvals = &vals[off..off + take];
+                        s.spawn(move |_| msg(xu, ccols, cvals, chunk));
                         rest = tail;
                         off += take;
                     }

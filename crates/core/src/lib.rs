@@ -13,7 +13,7 @@
 //!
 //! # Entry points
 //!
-//! * [`fusedmm`] — the tuned kernel: recognizes the operator pattern,
+//! * [`fusedmm`] — the tuned kernel: recognizes the kernel shape,
 //!   autotunes the blocking strategy on first use, dispatches to
 //!   register-blocked generated kernels ("FusedMMopt" in the paper's
 //!   Table VI);
@@ -32,7 +32,7 @@
 //! otherwise — see [`crate::simd`] and [`cpu_features`]); set
 //! `FUSEDMM_FORCE_SCALAR=1` to pin the portable fallback, or
 //! `FUSEDMM_FORCE_BACKEND=<name>` to request a specific one.
-//! Per-`(pattern, d)` blocking — including the plan-time kernel
+//! Per-`(kernel shape, d)` blocking — including the plan-time kernel
 //! specialization table in [`genkern::table`] — is chosen by the
 //! [`autotune`] module; `docs/ARCHITECTURE.md` at the workspace root
 //! draws the whole dispatch stack.
@@ -89,7 +89,7 @@ use fusedmm_sparse::dense::Dense;
 /// `Z = FusedMM(A, X, Y)` — the tuned kernel.
 ///
 /// Equivalent to [`fusedmm_opt`] but the blocking strategy for each
-/// (pattern, dimension) is measured once per process by the global
+/// (kernel shape, dimension) is measured once per process by the global
 /// [`Tuner`] rather than chosen statically.
 pub fn fusedmm(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
     let blocking = global_tuner().choose(ops, x.ncols());

@@ -45,7 +45,7 @@ impl Plan {
     /// race against the specialized table's probed best shape, so a
     /// prepared plan carries a monomorphized kernel selection, not
     /// just a strategy tag. The probe runs at most once per process
-    /// per (pattern, d); repeated `prepare` calls are cheap.
+    /// per (kernel shape, d); repeated `prepare` calls are cheap.
     pub fn prepare(ops: &OpSet, d: usize) -> Plan {
         Plan {
             pattern: ops.pattern,

@@ -3,7 +3,7 @@
 //! FusedMM's five steps accept arbitrary user functions (the C library
 //! takes function pointers; here, closures). This example builds two
 //! operator sets no library ships out of the box and runs both through
-//! the same kernel:
+//! the same entry point:
 //!
 //! 1. a *t-distribution* similarity kernel (the Force2Vec t-variant:
 //!    `h = 1 / (1 + ‖x_u − y_v‖²)`) with sum aggregation;
@@ -74,7 +74,10 @@ fn main() {
         println!("  vertex {u}: min-pooled lanes verified against scalar reference");
     }
 
-    // Both custom sets run through the same generic fused path — no
-    // kernel code was written for either.
+    // No kernel code was written for either set. The t-distribution
+    // closure is a user SOP on the (SUB, NORM, _, MUL, ASUM) shape, so it
+    // runs on the SIMD FR kernels with the closure applied per edge; the
+    // min-pooled set has a custom VOP and AMIN, matches no kernel shape,
+    // and runs the generic five-step kernel.
     println!("OK: two novel operator sets executed by one kernel.");
 }

@@ -175,13 +175,51 @@ fn sweep_features(n: usize, d: usize, seed: u64) -> Dense {
 /// Clamp an arbitrary COO into a 40×40 square with positive weights —
 /// the graph shape the kernel-agreement sweeps run on.
 fn square_graph(coo: &Coo) -> Csr {
+    square_coo(coo).to_csr(Dedup::Sum)
+}
+
+fn square_coo(coo: &Coo) -> Coo {
     let mut square = Coo::new(40, 40);
     for &(r, c, v) in coo.entries() {
         if r < 40 && c < 40 {
             square.push(r, c, v.abs().clamp(0.1, 1.0));
         }
     }
-    square.to_csr(Dedup::Sum)
+    square
+}
+
+/// [`square_graph`] plus a hub: row 0 links to every column with
+/// distinct weights. Launched with [`HUB_PARTS`] partitions under
+/// [`HUB_HYBRID`], the hub's degree (40) reaches the mega threshold
+/// (`max(16, nnz / 8)`, and nnz ≤ 160), so hybrid execution takes the
+/// split-mega-row path: message fill, then span sweeps.
+fn hub_graph(coo: &Coo) -> Csr {
+    let mut hub = square_coo(coo);
+    for c in 0..40 {
+        hub.push(0, c, 0.2 + (c % 9) as f32 * 0.1);
+    }
+    hub.to_csr(Dedup::Sum)
+}
+
+const HUB_PARTS: usize = 8;
+const HUB_HYBRID: HybridConfig = HybridConfig { short_max: 8, mega_floor: 16 };
+
+/// Operator sets with user-defined scaling ops that run on the SIMD
+/// embedding and FR kernels, each with its agreement tolerance:
+/// Force2Vec's positive term, an edge-weighted SOP (the kernels must
+/// hand `a_uv` to the SOP; the sweep graphs carry weights in
+/// [0.1, 1]), and the FR-layout inverse-square repulsion.
+fn custom_sop_opsets() -> Vec<(OpSet, f32)> {
+    use std::sync::Arc;
+    let f2v_pos = SOp::Custom(Arc::new(|s, _| fusedmm::ops::sigmoid(s) - 1.0));
+    let repulse = SOp::Custom(Arc::new(|s, _| 0.05 / (s * s + 1e-3)));
+    vec![
+        (OpSet::custom(VOp::Mul, ROp::Sum, f2v_pos, MOp::Mul, AOp::Sum), 1e-5),
+        (OpSet::custom(VOp::Mul, ROp::Sum, SOp::ScaleByEdge, MOp::Mul, AOp::Sum), 1e-5),
+        // sqrt amplifies association differences near zero
+        (OpSet::custom(VOp::Sub, ROp::Norm, SOp::ScaleByEdge, MOp::Mul, AOp::Sum), 1e-4),
+        (OpSet::custom(VOp::Sub, ROp::Norm, repulse, MOp::Mul, AOp::Sum), 1e-4),
+    ]
 }
 
 proptest! {
@@ -222,13 +260,14 @@ proptest! {
         for d in SWEEP_DIMS {
             let x = sweep_features(40, d, seed);
             let y = sweep_features(40, d, seed + 7);
-            for (ops, tol) in [
+            let presets = [
                 (OpSet::sigmoid_embedding(None), 1e-5f32),
                 (OpSet::gcn(), 1e-5),
                 (OpSet::tdist_embedding(), 1e-5),
                 // sqrt amplifies association differences near zero
                 (OpSet::fr_model(0.4), 1e-4),
-            ] {
+            ];
+            for (ops, tol) in presets.into_iter().chain(custom_sop_opsets()) {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
                 let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
                 let mut blockings =
@@ -260,15 +299,17 @@ proptest! {
         use fusedmm::kernel::genkern::candidate_specs;
         use fusedmm::kernel::simd::active_backend;
         let a = square_graph(&coo);
+        let hub = hub_graph(&coo);
         let lanes = active_backend().lanes();
         for d in SWEEP_DIMS.into_iter().chain(ODD_DIMS) {
             let x = sweep_features(40, d, seed);
             let y = sweep_features(40, d, seed + 7);
-            for (ops, tol) in [
+            let presets = [
                 (OpSet::sigmoid_embedding(None), 1e-5f32),
                 (OpSet::gcn(), 1e-5),
                 (OpSet::fr_model(0.4), 1e-4),
-            ] {
+            ];
+            for (ops, tol) in presets.into_iter().chain(custom_sop_opsets()) {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
                 let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
                 let mut blockings: Vec<Blocking> = candidate_specs(lanes, d, true)
@@ -287,6 +328,84 @@ proptest! {
                         z.max_abs_diff(&reference) < tol * scale,
                         "{:?} {:?} d={}: diff {}",
                         ops.pattern, blocking, d, z.max_abs_diff(&reference)
+                    );
+                }
+                // The hub row runs as a split mega row: its messages come
+                // from the message-fill kernels, which see the edge values.
+                let hub_ref = fusedmm_reference(&hub, &x, &y, &ops);
+                let hub_scale = 1.0 + hub_ref.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let z = fusedmm_opt_with(
+                    &hub, &x, &y, &ops, Blocking::Hybrid(HUB_HYBRID), Some(HUB_PARTS),
+                    PartitionStrategy::NnzBalanced,
+                );
+                prop_assert!(
+                    z.max_abs_diff(&hub_ref) < tol * hub_scale,
+                    "{:?} hybrid mega d={}: diff {}",
+                    ops.pattern, d, z.max_abs_diff(&hub_ref)
+                );
+            }
+        }
+    }
+
+    /// A user-defined SOP evaluating the same expression as a preset
+    /// runs at the same point of the same fold: `custom(MUL, RSUM,
+    /// |s| σ(s), MUL, ASUM)` and `custom(SUB, NORM, SCAL(α), MUL, ASUM)`
+    /// are bit-identical to the sigmoid-embedding and FR presets at
+    /// every blocking level (on the active backend; CI runs the suite
+    /// under each forced backend).
+    #[test]
+    fn custom_scalar_ops_bit_identical_to_presets(coo in arb_coo(), seed in 0u64..100) {
+        use std::sync::Arc;
+        use fusedmm::kernel::fusedmm_opt_with;
+        use fusedmm::kernel::genkern::{candidate_specs, GENERATED_DIMS};
+        use fusedmm::kernel::simd::active_backend;
+        let a = hub_graph(&coo);
+        let sigmoid = SOp::Custom(Arc::new(|s, _| fusedmm::ops::sigmoid(s)));
+        let pairs = [
+            (
+                OpSet::sigmoid_embedding(None),
+                OpSet::custom(VOp::Mul, ROp::Sum, sigmoid, MOp::Mul, AOp::Sum),
+            ),
+            (
+                OpSet::fr_model(0.4),
+                OpSet::custom(VOp::Sub, ROp::Norm, SOp::Scale(0.4), MOp::Mul, AOp::Sum),
+            ),
+        ];
+        for d in SWEEP_DIMS.into_iter().chain(ODD_DIMS) {
+            let x = sweep_features(40, d, seed);
+            let y = sweep_features(40, d, seed + 7);
+            let mut blockings = vec![
+                Blocking::Auto,
+                Blocking::DynStrips,
+                Blocking::Generic,
+                Blocking::Hybrid(HybridConfig::default()),
+                Blocking::Hybrid(HUB_HYBRID),
+            ];
+            if GENERATED_DIMS.contains(&d) {
+                blockings.push(Blocking::RegisterBlocked);
+            }
+            if d % 8 == 0 {
+                blockings.push(Blocking::StripMined);
+            }
+            blockings.extend(
+                candidate_specs(active_backend().lanes(), d, true)
+                    .into_iter()
+                    .map(Blocking::Specialized),
+            );
+            for (preset, custom) in &pairs {
+                for &blocking in &blockings {
+                    let run = |ops: &OpSet| {
+                        fusedmm_opt_with(
+                            &a, &x, &y, ops, blocking, Some(HUB_PARTS),
+                            PartitionStrategy::NnzBalanced,
+                        )
+                    };
+                    let (zp, zc) = (run(preset), run(custom));
+                    prop_assert!(
+                        zp.as_slice().iter().map(|v| v.to_bits())
+                            .eq(zc.as_slice().iter().map(|v| v.to_bits())),
+                        "{:?} {:?} d={}: custom SOP not bit-identical to the preset",
+                        preset.pattern, blocking, d
                     );
                 }
             }
