@@ -1,7 +1,9 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //!
-//! * register blocking (const-dimension kernels) vs dynamic strips vs
-//!   the generic five-step path — isolating the paper's §IV-A win;
+//! * register blocking (the kernel table's default shape: panel
+//!   accumulators held in registers across the neighbor loop) vs
+//!   dynamic strips (`z_u` in memory) vs the generic five-step path —
+//!   isolating the paper's §IV-A win;
 //! * nnz-balanced PART1D vs naive row partitioning on a skewed graph —
 //!   isolating the load-balancing scheme of §III-C;
 //! * lookup-table vs exact sigmoid — the Force2Vec-style SOP shortcut;
@@ -14,7 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fusedmm_bench::workloads::kernel_workload_scaled;
-use fusedmm_core::{fusedmm_opt_with, Blocking, PartitionStrategy};
+use fusedmm_core::genkern::KernelSpec;
+use fusedmm_core::{active_backend, fusedmm_opt_with, Blocking, PartitionStrategy};
 use fusedmm_graph::datasets::Dataset;
 use fusedmm_graph::features::random_features;
 use fusedmm_graph::rmat::{rmat, RmatConfig};
@@ -27,8 +30,9 @@ fn bench_register_blocking(c: &mut Criterion) {
     g.warm_up_time(Duration::from_millis(300));
     g.measurement_time(Duration::from_millis(1200));
     g.sample_size(10);
+    let blocked = KernelSpec::default_for(active_backend().lanes(), 128);
     for (name, blocking) in [
-        ("register_blocked", Blocking::RegisterBlocked),
+        ("register_blocked", Blocking::Specialized(blocked)),
         ("dyn_strips", Blocking::DynStrips),
         ("generic", Blocking::Generic),
     ] {

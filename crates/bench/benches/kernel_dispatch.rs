@@ -1,20 +1,22 @@
-//! Kernel dispatch bench: blocking level × SIMD backend at the
-//! serving-typical dimensions.
+//! Kernel dispatch bench: blocking level × SIMD backend across the
+//! dimensions the kernels serve.
 //!
-//! The const-generic register-blocked kernels only exist for
-//! `GENERATED_DIMS`; the dimensions real embedding services run
-//! (d = 48/96/192/384) used to fall back to the dynamic-strip kernel.
-//! This bench measures what the strip-mined family (vector-width
-//! panels, register-resident accumulators across the neighbor loop)
-//! buys over that fallback, per pattern, and what the plan-time
-//! `specialized` table (tuner-chosen panel count and h-chunk, masked
-//! tails) buys on top — the acceptance gates are `strip_mined`
-//! beating `dyn_strips` at d = 96 and d = 192 on the SpMM and
-//! sigmoid-embedding patterns, and `specialized` matching or beating
-//! `dyn_strips` at every probed d (strictly at the odd d = 100, where
-//! the strip family does not apply and dyn strips pay an unfused
-//! scalar tail per neighbor). The `register_blocked` row appears only
-//! at generated dimensions for context.
+//! Every recognized kernel shape runs on one kernel family, the
+//! plan-time specialized table (vector-width panels with
+//! register-resident accumulators, masked tails for any d). Three arms
+//! per `(pattern, d)`:
+//!
+//! * `auto` — `Blocking::Auto`, the table's static default shape for
+//!   the dimension (what `fusedmm_opt` and every engine run);
+//! * `specialized` — the autotuner's probed best shape (what a
+//!   prepared `Plan` runs);
+//! * `dyn_strips` — the unblocked baseline (8-lane strips, `z_u` in
+//!   memory, an unfused scalar tail per neighbor at odd d).
+//!
+//! Acceptance: `specialized` and `auto` medians at or below
+//! `dyn_strips` at every d, strictly below at the odd d = 100; and
+//! `auto` no slower than the previous release's `auto` at any d (run
+//! this bench on both checkouts and compare the `auto` rows).
 //!
 //! The header line records the detected CPU features and chosen
 //! backend (on an AVX-512 machine the 16-lane kernels); set
@@ -28,15 +30,13 @@ use std::hint::black_box;
 use std::time::Duration;
 
 use fusedmm_bench::workloads::kernel_workload_scaled;
-use fusedmm_core::genkern::{strip_minable, GENERATED_DIMS};
 use fusedmm_core::{cpu_features, fusedmm_opt_with, global_tuner, Blocking, PartitionStrategy};
 use fusedmm_graph::datasets::Dataset;
 use fusedmm_ops::OpSet;
 
-// 48/96/192/384 are the strip-only serving dims; 64 is a generated
-// dimension, included so the register_blocked row appears for context;
-// 100 is odd, so only the dyn and specialized levels accept it.
-const DIMS: [usize; 6] = [48, 64, 96, 100, 192, 384];
+// Small embedding dims (8..64), serving dims (48/96/192/384), the
+// Force2Vec dimension 128, and the odd d = 100.
+const DIMS: [usize; 10] = [8, 16, 32, 48, 64, 96, 100, 128, 192, 384];
 
 fn bench_pattern(c: &mut Criterion, pattern_name: &str, ops: &OpSet) {
     for &d in &DIMS {
@@ -45,19 +45,16 @@ fn bench_pattern(c: &mut Criterion, pattern_name: &str, ops: &OpSet) {
         let w = kernel_workload_scaled(Dataset::Youtube, d, 0.004 * 96.0 / d as f64);
         let mut g = c.benchmark_group(format!("kernel_dispatch_{pattern_name}_d{d}"));
         g.warm_up_time(Duration::from_millis(500));
-        g.measurement_time(Duration::from_millis(4000));
-        g.sample_size(48);
+        g.measurement_time(Duration::from_millis(2000));
+        g.sample_size(32);
         // The tuner probes the shape grid once per (pattern, d) and
         // caches; the bench then measures the winning shape.
         let spec = global_tuner().spec_for(ops, d);
-        let mut levels =
-            vec![("dyn_strips", Blocking::DynStrips), ("specialized", Blocking::Specialized(spec))];
-        if strip_minable(d) {
-            levels.push(("strip_mined", Blocking::StripMined));
-        }
-        if GENERATED_DIMS.contains(&d) {
-            levels.push(("register_blocked", Blocking::RegisterBlocked));
-        }
+        let levels = [
+            ("auto", Blocking::Auto),
+            ("specialized", Blocking::Specialized(spec)),
+            ("dyn_strips", Blocking::DynStrips),
+        ];
         for (name, blocking) in levels {
             g.bench_function(name, |b| {
                 b.iter(|| {

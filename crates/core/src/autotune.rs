@@ -1,21 +1,21 @@
-//! Runtime autotuning of the blocking strategy per (kernel shape,
+//! Runtime autotuning of the kernel-table shape per (kernel shape,
 //! dimension).
 //!
 //! The paper's library "tuned the factor of the register blocking after
 //! applying different strategies" offline during code generation. We
-//! tune at run time instead: the first `fusedmm` call for a given
-//! (shape, d) measures each candidate blocking — dynamic strips,
-//! strip-mined (when `d ≡ 0 (mod 8)`), register-blocked (when a const
-//! specialization exists), and the best plan-time specialized shape
-//! from the generated dispatch table ([`Tuner::spec_for`] probes the
-//! candidate panel/chunk grid first) — on a small synthetic probe and
+//! tune at run time instead: the first tuned call for a given (shape,
+//! d) probes every candidate panel/chunk shape of the generated
+//! dispatch table ([`candidate_specs`]) on a small synthetic graph and
 //! caches the winner for the rest of the process — the ATLAS
-//! philosophy the paper cites, applied lazily. Decisions are keyed by
-//! the kernel shape [`specialize`] recognizes, not by the op set's
-//! pattern tag: every [`OpSet::custom`] carries the same `Custom` tag
-//! whatever kernel it runs, while every op set of one shape runs the
-//! same compiled kernels. The SIMD backend is fixed per process, so
-//! the (shape, d) key implicitly tunes per (shape, d, ISA).
+//! philosophy the paper cites, applied lazily. [`Tuner::choose`]
+//! returns that winner as [`Blocking::Specialized`]; the static
+//! `Blocking::Auto` skips the probe and runs
+//! [`KernelSpec::default_for`] instead. Decisions are keyed by the
+//! kernel shape [`specialize`] recognizes, not by the op set's pattern
+//! tag: every [`OpSet::custom`] carries the same `Custom` tag whatever
+//! kernel it runs, while every op set of one shape runs the same
+//! compiled kernels. The SIMD backend is fixed per process, so the
+//! (shape, d) key implicitly tunes per (shape, d, ISA).
 
 use std::time::Instant;
 
@@ -29,15 +29,14 @@ use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::dispatch::{fusedmm_opt_with, specialize, Blocking, Specialized};
-use crate::genkern::{candidate_specs, strip_minable, KernelSpec, GENERATED_DIMS};
+use crate::genkern::{candidate_specs, KernelSpec};
 use crate::part::PartitionStrategy;
 use crate::simd::active_backend;
 
 /// Cached tuning decisions, keyed by (kernel shape, dimension).
 #[derive(Debug, Default)]
 pub struct Tuner {
-    cache: RwLock<HashMap<(Specialized, usize), Blocking>>,
-    spec_cache: RwLock<HashMap<(Specialized, usize), KernelSpec>>,
+    cache: RwLock<HashMap<(Specialized, usize), KernelSpec>>,
 }
 
 /// Probe graph size used for tuning runs. Small enough to be
@@ -53,19 +52,14 @@ impl Tuner {
         Self::default()
     }
 
-    /// The blocking to use for `ops` at dimension `d`, measuring on
-    /// first use.
+    /// The blocking to use for `ops` at dimension `d`: the probed best
+    /// table shape ([`Tuner::spec_for`]), or [`Blocking::Generic`] for
+    /// op sets that match no kernel shape.
     pub fn choose(&self, ops: &OpSet, d: usize) -> Blocking {
-        let Some(shape) = specialize(ops) else {
-            return Blocking::Generic;
-        };
-        let key = (shape, d);
-        if let Some(&b) = self.cache.read().get(&key) {
-            return b;
+        match specialize(ops) {
+            Some(_) => Blocking::Specialized(self.spec_for(ops, d)),
+            None => Blocking::Generic,
         }
-        let chosen = self.measure(ops, d);
-        self.cache.write().insert(key, chosen);
-        chosen
     }
 
     /// Number of cached decisions (used by tests).
@@ -76,25 +70,24 @@ impl Tuner {
     /// Forget all decisions (used by tests).
     pub fn clear(&self) {
         self.cache.write().clear();
-        self.spec_cache.write().clear();
     }
 
     /// The best specialized kernel shape for `ops` at dimension `d` on
     /// the active backend, probing the candidate grid (see
     /// [`candidate_specs`]) on first use and caching the winner. This
-    /// is the shape a `Blocking::Specialized` plan (and the hybrid
-    /// dispatcher's degree-class kernels) will run. Op sets that match
-    /// no kernel shape get [`KernelSpec::FALLBACK`] without probing.
+    /// is the shape a tuned plan (and the hybrid dispatcher's
+    /// degree-class kernels) will run. Op sets that match no kernel
+    /// shape get [`KernelSpec::FALLBACK`] without probing.
     pub fn spec_for(&self, ops: &OpSet, d: usize) -> KernelSpec {
         let Some(shape) = specialize(ops) else {
             return KernelSpec::FALLBACK;
         };
         let key = (shape, d);
-        if let Some(&s) = self.spec_cache.read().get(&key) {
+        if let Some(&s) = self.cache.read().get(&key) {
             return s;
         }
         let chosen = self.measure_spec(ops, shape, d);
-        self.spec_cache.write().insert(key, chosen);
+        self.cache.write().insert(key, chosen);
         chosen
     }
 
@@ -102,7 +95,7 @@ impl Tuner {
         // Shapes with an SDDMM reduction also probe the message chunk
         // depth; pure SpMM has no message buffer.
         let sddmm = shape != Specialized::Spmm;
-        let candidates = candidate_specs(active_backend().lanes(), d, sddmm);
+        let candidates = candidate_specs(active_backend().for_dim(d).lanes(), d, sddmm);
         if candidates.len() == 1 {
             return candidates[0];
         }
@@ -121,38 +114,6 @@ impl Tuner {
             }
             if t_min < best.1 {
                 best = (s, t_min);
-            }
-        }
-        best.0
-    }
-
-    fn measure(&self, ops: &OpSet, d: usize) -> Blocking {
-        let a = probe_graph();
-        let x = probe_features(PROBE_VERTICES, d, 1);
-        let y = probe_features(PROBE_VERTICES, d, 2);
-        let mut candidates = vec![Blocking::DynStrips];
-        if strip_minable(d) {
-            candidates.push(Blocking::StripMined);
-        }
-        if GENERATED_DIMS.contains(&d) {
-            candidates.push(Blocking::RegisterBlocked);
-        }
-        // The specialized table covers any d >= 1; enter its best
-        // probed shape as one candidate against the fixed levels.
-        candidates.push(Blocking::Specialized(self.spec_for(ops, d)));
-        let mut best = (Blocking::DynStrips, f64::INFINITY);
-        for b in candidates {
-            // Warm-up then timed repetitions, keeping the minimum (least
-            // noisy statistic for short kernels).
-            let _ = fusedmm_opt_with(&a, &x, &y, ops, b, None, PartitionStrategy::NnzBalanced);
-            let mut t_min = f64::INFINITY;
-            for _ in 0..PROBE_REPS {
-                let t0 = Instant::now();
-                let _ = fusedmm_opt_with(&a, &x, &y, ops, b, None, PartitionStrategy::NnzBalanced);
-                t_min = t_min.min(t0.elapsed().as_secs_f64());
-            }
-            if t_min < best.1 {
-                best = (b, t_min);
             }
         }
         best.0
@@ -214,14 +175,18 @@ mod tests {
     }
 
     #[test]
-    fn ungeneratable_dim_picks_dyn_or_specialized() {
+    fn every_dim_picks_a_probed_table_shape() {
+        // Aligned, generated-list and odd dims alike resolve to a shape
+        // among the table's candidates for the dimension.
         let tuner = Tuner::new();
-        let ops = OpSet::gcn();
-        // 100 is neither in GENERATED_DIMS nor a multiple of 8: the
-        // candidates are DynStrips and the specialized table (whose
-        // masked-tail panels cover odd dims).
-        let b = tuner.choose(&ops, 100);
-        assert!(matches!(b, Blocking::DynStrips | Blocking::Specialized(_)), "{b:?}");
+        for (ops, d) in [(OpSet::gcn(), 100), (OpSet::gcn(), 96), (OpSet::fr_model(1.0), 64)] {
+            let lanes = active_backend().for_dim(d).lanes();
+            let b = tuner.choose(&ops, d);
+            let Blocking::Specialized(s) = b else { panic!("{b:?} at d={d}") };
+            let sddmm = specialize(&ops) != Some(Specialized::Spmm);
+            assert!(candidate_specs(lanes, d, sddmm).contains(&s), "{s:?} at d={d}");
+            assert_eq!(s, tuner.spec_for(&ops, d), "choose and spec_for share one decision");
+        }
     }
 
     #[test]
@@ -234,34 +199,6 @@ mod tests {
         assert!(KernelSpec::new(s1.main_panels() as u8, s1.h_chunk() as u16).is_some());
         tuner.clear();
         assert_eq!(tuner.cached_len(), 0);
-    }
-
-    #[test]
-    fn strip_minable_dim_never_falls_back_to_generic() {
-        let tuner = Tuner::new();
-        let ops = OpSet::gcn();
-        // 96 is a multiple of 8 but has no const specialization:
-        // candidates are DynStrips, StripMined, and the spec table.
-        let b = tuner.choose(&ops, 96);
-        assert!(
-            matches!(b, Blocking::DynStrips | Blocking::StripMined | Blocking::Specialized(_)),
-            "{b:?}"
-        );
-    }
-
-    #[test]
-    fn generated_dim_picks_a_specialized_blocking() {
-        let tuner = Tuner::new();
-        let ops = OpSet::fr_model(1.0);
-        let b = tuner.choose(&ops, 64);
-        assert!(matches!(
-            b,
-            Blocking::DynStrips
-                | Blocking::StripMined
-                | Blocking::RegisterBlocked
-                | Blocking::Specialized(_)
-        ));
-        assert_ne!(b, Blocking::Generic);
     }
 
     #[test]

@@ -12,6 +12,16 @@
 //! ("FusedMM can directly take a scaling operation", §V-D).
 //! [`fusedmm_opt`] runs the recognized kernel shape and falls back to
 //! the generic five-step kernel for every other operator set.
+//!
+//! Every recognized shape runs on one kernel family, the generated
+//! table in [`crate::genkern::table`]. [`Blocking`] only picks the
+//! table shape: [`Blocking::Auto`] takes the static
+//! [`KernelSpec::default_for`] shape for the dimension and backend with
+//! no probe, the autotuner ([`crate::autotune`]) and prepared plans
+//! carry a probed [`Blocking::Specialized`] shape, and
+//! [`Blocking::Hybrid`] runs the probed shape per degree class.
+//! [`Blocking::DynStrips`] (unblocked) and [`Blocking::Generic`] remain
+//! as ablation arms.
 
 use fusedmm_ops::{AOp, MOp, OpSet, ROp, SOp, VOp};
 use fusedmm_sparse::csr::Csr;
@@ -20,58 +30,43 @@ use fusedmm_sparse::dense::Dense;
 use crate::driver::parallel_row_bands;
 use crate::generic::{fusedmm_generic_opts, validate_shapes};
 use crate::genkern::{
-    embed_dyn_kernel, embed_kernel_for, embed_spec_kernel, embed_strip_kernel, fr_dyn_kernel,
-    fr_kernel_for, fr_spec_kernel, fr_strip_kernel, spmm_dyn_kernel, spmm_kernel_for,
-    spmm_spec_kernel, spmm_strip_kernel, strip_minable, tdist_dyn_kernel, tdist_kernel_for,
-    tdist_spec_kernel, tdist_strip_kernel, KernelSpec, GENERATED_DIMS,
+    embed_dyn_kernel, embed_spec_kernel, fr_dyn_kernel, fr_spec_kernel, spmm_dyn_kernel,
+    spmm_spec_kernel, tdist_dyn_kernel, tdist_spec_kernel, KernelSpec,
 };
 use crate::part::PartitionStrategy;
 use crate::simd::active_backend;
 
-/// Largest dimension at which [`Blocking::Auto`] picks the
-/// register-blocked kernel. The paper's generator likewise "limit\[s\]
-/// register blocking up to a threshold when the dimension is large":
-/// beyond ~64 f32 lanes the per-row blocks exceed the architectural
-/// register file, the fully unrolled sweeps bloat the instruction
-/// stream, and the measured advantage inverts (see the
-/// `ablation_blocking` bench). The measuring autotuner can still pick
-/// register blocking above the threshold when it actually wins.
-pub const REGISTER_BLOCK_MAX_DIM: usize = 64;
-
 /// Which kernel implementation level to use for a specialized pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Blocking {
-    /// Pick the best level the dimension admits: register-blocked for
-    /// small generated dimensions, strip-mined for any other multiple
-    /// of 8, dynamic strips otherwise (the library default).
+    /// The library default: the specialized table's static shape for
+    /// the dimension on the active backend
+    /// ([`KernelSpec::default_for`]), chosen with no probe.
     Auto,
-    /// Force the const-dimension register-blocked kernel; an error if
-    /// the dimension has no generated specialization.
+    /// Resolves exactly like [`Blocking::Auto`]; kept only so existing
+    /// exhaustive matches on `Blocking` compile, and slated for removal.
     RegisterBlocked,
-    /// Force the strip-mined kernel (8-lane panels with
-    /// register-resident accumulators, any `d ≡ 0 (mod 8)`); an error
-    /// for other dimensions.
+    /// Resolves exactly like [`Blocking::Auto`]; kept only so existing
+    /// exhaustive matches on `Blocking` compile, and slated for removal.
     StripMined,
     /// Force the dynamic 8-lane strip kernel (no register blocking) —
-    /// used by the register-blocking ablation.
+    /// the register-blocking ablation's unblocked arm.
     DynStrips,
-    /// Run one plan-time specialized shape from the generated dispatch
-    /// table (see [`crate::genkern::table`]): the strip passes
-    /// monomorphized over a panel/chunk grid, valid for **any**
-    /// `d ≥ 1` — odd dimensions end in a fused masked-tail panel
-    /// instead of falling back to the unfused dyn path. Plans built by
-    /// the measuring autotuner carry the probed best shape here.
+    /// Run one shape from the generated dispatch table (see
+    /// [`crate::genkern::table`]): panel passes monomorphized over a
+    /// panel/chunk grid, valid for **any** `d ≥ 1` — odd dimensions end
+    /// in a fused masked-tail panel. Plans built by the measuring
+    /// autotuner carry the probed best shape here.
     Specialized(KernelSpec),
     /// Force the generic five-step kernel even for recognized patterns —
     /// the paper's unoptimized "FusedMM" row.
     Generic,
     /// Degree-aware hybrid execution for skewed graphs: rows are
-    /// classified by degree and each class runs a kernel shaped for it
-    /// (gathered batches for short rows, strip-mined panels for the
-    /// middle, cooperative span-split execution for mega rows). Engages
-    /// when the dimension resolves to the strip level (`d ≡ 0 (mod 8)`
-    /// outside the generated-const list); otherwise behaves exactly
-    /// like [`Blocking::Auto`]. Bit-identical to the uniform kernels.
+    /// classified by degree and each class runs a table kernel shaped
+    /// for it (gathered batches for short rows, row panels for the
+    /// middle, cooperative span-split execution for mega rows), with
+    /// the autotuner's probed shape. Engages at every dimension.
+    /// Bit-identical to the uniform kernels.
     Hybrid(crate::hybrid::HybridConfig),
 }
 
@@ -79,8 +74,6 @@ pub enum Blocking {
 /// [`Blocking`] request to for a given dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Level {
-    Const,
-    Strip,
     Spec(KernelSpec),
     Dyn,
 }
@@ -91,35 +84,21 @@ impl Level {
     /// Specialized launches report their shape, e.g. `"spec-m12-h32"`.
     fn label(self) -> &'static str {
         match self {
-            Level::Const => "const",
-            Level::Strip => "strip",
             Level::Spec(s) => s.label(),
             Level::Dyn => "dyn",
         }
     }
 }
 
-fn resolve_level(blocking: Blocking, d: usize) -> Level {
+fn resolve_level(blocking: Blocking, lanes: usize, d: usize) -> Level {
     match blocking {
-        Blocking::RegisterBlocked => Level::Const,
-        Blocking::StripMined => {
-            assert!(
-                strip_minable(d),
-                "no strip-mined kernel for d={d} (d must be a positive multiple of 8)"
-            );
-            Level::Strip
-        }
         Blocking::DynStrips => Level::Dyn,
         Blocking::Specialized(s) => Level::Spec(s),
-        Blocking::Auto | Blocking::Generic | Blocking::Hybrid(_) => {
-            if d <= REGISTER_BLOCK_MAX_DIM && GENERATED_DIMS.contains(&d) {
-                Level::Const
-            } else if strip_minable(d) {
-                Level::Strip
-            } else {
-                Level::Dyn
-            }
-        }
+        Blocking::Auto
+        | Blocking::RegisterBlocked
+        | Blocking::StripMined
+        | Blocking::Generic
+        | Blocking::Hybrid(_) => Level::Spec(KernelSpec::default_for(lanes, d)),
     }
 }
 
@@ -158,10 +137,10 @@ pub fn specialize(ops: &OpSet) -> Option<Specialized> {
     }
 }
 
-/// The optimized FusedMM ("FusedMMopt" in Table VI): specialized
-/// register-blocked kernels for recognized kernel shapes (see
-/// [`specialize`]), generic fallback otherwise. Runs on the current
-/// rayon pool with PART1D balancing.
+/// The optimized FusedMM ("FusedMMopt" in Table VI): the specialized
+/// table's default register-blocked shape for recognized kernel shapes
+/// (see [`specialize`]), generic fallback otherwise. Runs on the
+/// current rayon pool with PART1D balancing.
 pub fn fusedmm_opt(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
     fusedmm_opt_with(a, x, y, ops, Blocking::Auto, None, PartitionStrategy::NnzBalanced)
 }
@@ -194,45 +173,24 @@ pub fn fusedmm_opt_with(
         return z;
     };
     let d = x.ncols();
-    let level = resolve_level(blocking, d);
-    let backend = active_backend();
+    let backend = active_backend().for_dim(d);
     if let Blocking::Hybrid(cfg) = blocking {
-        // The shaped degree-class kernels run the specialized table's
-        // shapes, so hybrid engages at strip dimensions *and* — via the
-        // table's masked-tail panels — at dimensions that resolve to
-        // the dyn level (odd d). Only a const-resolved dimension falls
-        // through to the uniform path below (identical by
-        // construction).
-        if matches!(level, Level::Strip | Level::Dyn) {
-            let kspec = crate::autotune::global_tuner().spec_for(ops, d);
-            return crate::hybrid::execute(
-                a, x, y, ops, spec, cfg, partitions, strategy, backend, kspec,
-            );
-        }
+        let kspec = crate::autotune::global_tuner().spec_for(ops, d);
+        return crate::hybrid::execute(
+            a, x, y, ops, spec, cfg, partitions, strategy, backend, kspec,
+        );
     }
+    let level = resolve_level(blocking, backend.lanes(), d);
     let mut z = Dense::zeros(a.nrows(), d);
     let t0 = std::time::Instant::now();
 
     match spec {
         Specialized::Embed | Specialized::Fr => {
-            let embed = spec == Specialized::Embed;
-            let dyn_kern = if embed { embed_dyn_kernel(backend) } else { fr_dyn_kernel(backend) };
-            let kern = match level {
-                Level::Const => {
-                    let generated = if embed { embed_kernel_for(d) } else { fr_kernel_for(d) };
-                    generated.unwrap_or_else(|| {
-                        assert!(
-                            blocking != Blocking::RegisterBlocked,
-                            "no generated register-blocked {spec:?} kernel for d={d}"
-                        );
-                        dyn_kern
-                    })
-                }
-                Level::Strip if embed => embed_strip_kernel(backend),
-                Level::Strip => fr_strip_kernel(backend),
-                Level::Spec(s) if embed => embed_spec_kernel(backend, s),
-                Level::Spec(s) => fr_spec_kernel(backend, s),
-                Level::Dyn => dyn_kern,
+            let kern = match (level, spec == Specialized::Embed) {
+                (Level::Spec(s), true) => embed_spec_kernel(backend, s),
+                (Level::Spec(s), false) => fr_spec_kernel(backend, s),
+                (Level::Dyn, true) => embed_dyn_kernel(backend),
+                (Level::Dyn, false) => fr_dyn_kernel(backend),
             };
             let sop = &ops.sop;
             parallel_row_bands(a, &mut z, partitions, strategy, |rows, band| {
@@ -244,14 +202,6 @@ pub fn fusedmm_opt_with(
         }
         Specialized::TDist => {
             let kern = match level {
-                Level::Const => tdist_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked t-dist kernel for d={d}"
-                    );
-                    tdist_dyn_kernel(backend)
-                }),
-                Level::Strip => tdist_strip_kernel(backend),
                 Level::Spec(s) => tdist_spec_kernel(backend, s),
                 Level::Dyn => tdist_dyn_kernel(backend),
             };
@@ -264,14 +214,6 @@ pub fn fusedmm_opt_with(
         }
         Specialized::Spmm => {
             let kern = match level {
-                Level::Const => spmm_kernel_for(d).unwrap_or_else(|| {
-                    assert!(
-                        blocking != Blocking::RegisterBlocked,
-                        "no generated register-blocked SpMM kernel for d={d}"
-                    );
-                    spmm_dyn_kernel(backend)
-                }),
-                Level::Strip => spmm_strip_kernel(backend),
                 Level::Spec(s) => spmm_spec_kernel(backend, s),
                 Level::Dyn => spmm_dyn_kernel(backend),
             };
@@ -374,7 +316,8 @@ mod tests {
                 OpSet::gcn(),
             ] {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
-                for blocking in [Blocking::Auto, Blocking::DynStrips, Blocking::StripMined] {
+                let spec = KernelSpec::FALLBACK;
+                for blocking in [Blocking::Auto, Blocking::DynStrips, Blocking::Specialized(spec)] {
                     let z = fusedmm_opt_with(
                         &a,
                         &x,
@@ -392,37 +335,34 @@ mod tests {
                         z.max_abs_diff(&reference)
                     );
                 }
-                if crate::genkern::GENERATED_DIMS.contains(&d) {
-                    let z = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::RegisterBlocked,
-                        Some(2),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    assert!(z.max_abs_diff(&reference) < 1e-4);
-                }
             }
         }
     }
 
     #[test]
-    fn auto_blocking_respects_the_dimension_threshold() {
-        // Below the threshold Auto uses the register-blocked kernel,
-        // above it the strip-mined kernel; both must be correct.
+    fn auto_and_retired_levels_resolve_to_the_default_spec() {
+        // Auto, and the two variants kept only for source compatibility,
+        // run the table's static default shape at every d: bit-identical
+        // to forcing that shape, and profiled under its label.
         let n = 20;
         let a = graph(n);
-        for d in [32usize, 256] {
+        for d in [8usize, 32, 100, 256] {
+            let lanes = active_backend().for_dim(d).lanes();
             let x = feats(n, d, 0.1);
             let y = feats(n, d, 0.4);
             let ops = OpSet::sigmoid_embedding(None);
-            let auto = fusedmm_opt(&a, &x, &y, &ops);
+            let def = KernelSpec::default_for(lanes, d);
+            let run =
+                |b| fusedmm_opt_with(&a, &x, &y, &ops, b, None, PartitionStrategy::NnzBalanced);
+            let forced = run(Blocking::Specialized(def));
+            for b in [Blocking::Auto, Blocking::RegisterBlocked, Blocking::StripMined] {
+                assert_eq!(run(b).as_slice(), forced.as_slice(), "{b:?} d={d}");
+                assert_eq!(resolve_level(b, lanes, d), Level::Spec(def));
+            }
+            assert_eq!(fusedmm_opt(&a, &x, &y, &ops).as_slice(), forced.as_slice());
             let reference = fusedmm_reference(&a, &x, &y, &ops);
-            assert!(auto.max_abs_diff(&reference) < 1e-4, "d={d}");
+            assert!(forced.max_abs_diff(&reference) < 1e-4, "d={d}");
         }
-        const _: () = assert!(REGISTER_BLOCK_MAX_DIM >= 32);
     }
 
     #[test]
@@ -456,11 +396,10 @@ mod tests {
     }
 
     #[test]
-    fn strip_mined_covers_serving_dims_the_const_list_misses() {
+    fn auto_covers_serving_and_odd_dims() {
         let n = 36;
         let a = graph(n);
-        for d in [48usize, 96, 192] {
-            assert!(!crate::genkern::GENERATED_DIMS.contains(&d));
+        for d in [20usize, 48, 96, 192] {
             let x = feats(n, d, 0.15);
             let y = feats(n, d, 0.55);
             for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn()] {
@@ -470,7 +409,7 @@ mod tests {
                     &x,
                     &y,
                     &ops,
-                    Blocking::StripMined,
+                    Blocking::Auto,
                     Some(3),
                     PartitionStrategy::NnzBalanced,
                 );
@@ -480,44 +419,7 @@ mod tests {
                     ops.pattern,
                     z.max_abs_diff(&reference)
                 );
-                // Auto must also land on a correct kernel at these dims.
-                let auto = fusedmm_opt(&a, &x, &y, &ops);
-                assert!(auto.max_abs_diff(&reference) < 1e-4, "auto {:?} d={d}", ops.pattern);
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no strip-mined kernel for d=20")]
-    fn forcing_strip_mining_on_odd_dim_panics() {
-        let a = graph(10);
-        let x = feats(10, 20, 0.1);
-        let y = feats(10, 20, 0.2);
-        let _ = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &OpSet::gcn(),
-            Blocking::StripMined,
-            Some(1),
-            PartitionStrategy::NnzBalanced,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "no generated register-blocked")]
-    fn forcing_register_blocking_on_odd_dim_panics() {
-        let a = graph(10);
-        let x = feats(10, 20, 0.1);
-        let y = feats(10, 20, 0.2);
-        let _ = fusedmm_opt_with(
-            &a,
-            &x,
-            &y,
-            &OpSet::sigmoid_embedding(None),
-            Blocking::RegisterBlocked,
-            Some(1),
-            PartitionStrategy::NnzBalanced,
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! Degree-aware hybrid execution for skewed graphs.
 //!
 //! Power-law degree distributions defeat a single row-shaped kernel:
-//! the strip-mined kernel amortizes its per-row setup (loading `x_u`
+//! the table's row kernel amortizes its per-row setup (loading `x_u`
 //! panels, resolving the output slice) over the neighbor loop, so a
 //! degree-2 row pays mostly overhead, while a hub row with a million
 //! neighbors serializes an entire band on one thread no matter how
@@ -24,14 +24,14 @@
 //!
 //! All three class kernels come from the specialized dispatch table,
 //! whose masked-tail panels accept any `d ≥ 1` — so hybrid execution
-//! also engages at odd dimensions the strip family rejects (the final
-//! mega span absorbs the sub-VLEN remainder).
+//! engages at every dimension (at odd `d` the final mega span absorbs
+//! the sub-VLEN remainder).
 //!
 //! Every class preserves the uniform kernels' per-output-element
 //! accumulation order — a sequential left-fold over the neighbors in
 //! row storage order — so the hybrid result is bit-identical to the
-//! strip-mined baseline (asserted by the `genkern::strip` tests and the
-//! repo-level property suite). The mega split is fixed by the span
+//! uniform table kernels (asserted by the `genkern::table` tests and
+//! the repo-level property suite). The mega split is fixed by the span
 //! plan, never by thread timing. Each pass records its own
 //! [`KernelProfile`](crate::profile::KernelProfile) row under the
 //! `hybrid-short` / `hybrid-strip` / `hybrid-mega` blocking labels.
@@ -42,12 +42,11 @@ use fusedmm_sparse::dense::Dense;
 
 use crate::dispatch::Specialized;
 use crate::driver::parallel_row_bands;
-use crate::genkern::strip::H_CHUNK;
 use crate::genkern::{
     embed_msg_kernel, embed_spec_batch_kernel, embed_spec_kernel, fr_msg_kernel,
     fr_spec_batch_kernel, fr_spec_kernel, span_spec_kernel, spmm_spec_batch_kernel,
     spmm_spec_kernel, tdist_msg_kernel, tdist_spec_batch_kernel, tdist_spec_kernel, GatheredRow,
-    KernelSpec,
+    KernelSpec, H_CHUNK,
 };
 use crate::part::PartitionStrategy;
 use crate::simd::{Backend, VLEN};
@@ -86,8 +85,8 @@ impl Default for HybridConfig {
         // short_max = VLEN/2: the measured crossover on AVX2. A row
         // whose neighbor count is below half a vector width of
         // messages pays more in per-row setup than in math — gathering
-        // it (and skipping the output-row load, see `panel_overwrite`)
-        // wins. Longer rows amortize the strip kernel's setup fine, and
+        // it (and skipping the output-row load the batch kernels avoid)
+        // wins. Longer rows amortize the row kernel's setup fine, and
         // routing them through the gather path shows up as overhead on
         // unskewed graphs (the skew-sweep bench's s = 0 guard).
         HybridConfig { short_max: crate::simd::VLEN / 2, mega_floor: 4096 }
@@ -96,8 +95,8 @@ impl Default for HybridConfig {
 
 /// Run the three degree-class passes with the kernel shape `kspec`
 /// (the autotuner's probed best for this `(pattern, d, backend)`).
-/// Called by the dispatcher when the blocking resolved to the strip
-/// or dyn level — the specialized table's kernels cover both.
+/// Called by the dispatcher for every `Blocking::Hybrid` launch of a
+/// recognized kernel shape.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn execute(
     a: &Csr,
@@ -453,11 +452,15 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_bit_identical_to_strip_mined_all_patterns() {
+    fn hybrid_bit_identical_to_uniform_spec_all_patterns() {
+        // Every class preserves the per-element fold order, so hybrid is
+        // bit-identical to the uniform table kernel — at aligned dims,
+        // at the small dims the const kernels used to own (d = 8, where
+        // hybrid now engages), and at odd dims.
         let n = 96;
         let a = skewed(n);
         let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
-        for d in [48usize, 96] {
+        for d in [8usize, 20, 48, 96, 100] {
             let x = feats(n, d, 0.2);
             let y = feats(n, d, 0.8);
             for ops in [
@@ -467,26 +470,20 @@ mod tests {
                 OpSet::gcn(),
             ] {
                 for parts in [1usize, 2, 4] {
-                    let base = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::StripMined,
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    let hybrid = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Hybrid(cfg),
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
+                    let run = |b| {
+                        fusedmm_opt_with(
+                            &a,
+                            &x,
+                            &y,
+                            &ops,
+                            b,
+                            Some(parts),
+                            PartitionStrategy::NnzBalanced,
+                        )
+                    };
+                    let hybrid = run(Blocking::Hybrid(cfg));
                     assert_eq!(
-                        base.as_slice(),
+                        run(Blocking::Auto).as_slice(),
                         hybrid.as_slice(),
                         "{:?} d={d} parts={parts} not bit-identical",
                         ops.pattern
@@ -517,7 +514,7 @@ mod tests {
             &x,
             &y,
             &ops,
-            Blocking::StripMined,
+            Blocking::Auto,
             Some(4),
             PartitionStrategy::NnzBalanced,
         );
@@ -534,50 +531,6 @@ mod tests {
         let labels: Vec<&'static str> =
             crate::profile::kernel_profiles().iter().map(|p| p.blocking).collect();
         assert!(labels.contains(&"hybrid-mega"), "mega pass not profiled: {labels:?}");
-    }
-
-    #[test]
-    fn hybrid_engages_at_odd_dims_and_matches_specialized() {
-        // Odd d resolves to the dyn level, where hybrid now runs the
-        // specialized table's kernels. All three classes preserve the
-        // per-element fold order, so the result must be bit-identical
-        // to the uniform specialized plan with the same shape.
-        let n = 96;
-        let a = skewed(n);
-        let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
-        for d in [20usize, 100] {
-            let x = feats(n, d, 0.2);
-            let y = feats(n, d, 0.8);
-            for ops in [OpSet::sigmoid_embedding(None), OpSet::gcn()] {
-                let kspec = crate::autotune::global_tuner().spec_for(&ops, d);
-                for parts in [1usize, 3] {
-                    let base = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Specialized(kspec),
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    let hybrid = fusedmm_opt_with(
-                        &a,
-                        &x,
-                        &y,
-                        &ops,
-                        Blocking::Hybrid(cfg),
-                        Some(parts),
-                        PartitionStrategy::NnzBalanced,
-                    );
-                    assert_eq!(
-                        base.as_slice(),
-                        hybrid.as_slice(),
-                        "{:?} d={d} parts={parts} not bit-identical",
-                        ops.pattern
-                    );
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! # Entry points
 //!
 //! * [`fusedmm`] — the tuned kernel: recognizes the kernel shape,
-//!   autotunes the blocking strategy on first use, dispatches to
-//!   register-blocked generated kernels ("FusedMMopt" in the paper's
-//!   Table VI);
+//!   autotunes the register-blocked kernel-table shape on first use,
+//!   and dispatches to it ("FusedMMopt" in the paper's Table VI);
 //! * [`fusedmm_opt`] — same dispatch without the measuring autotuner
-//!   (Auto blocking picks register blocking whenever generated);
+//!   (Auto blocking runs the table's static default shape);
 //! * [`fusedmm_generic`] — the flexible five-step kernel with no
 //!   specialization (the paper's unoptimized "FusedMM" row);
 //! * [`fusedmm_reference`] — slow sequential ground truth for tests;
@@ -32,8 +31,8 @@
 //! otherwise — see [`crate::simd`] and [`cpu_features`]); set
 //! `FUSEDMM_FORCE_SCALAR=1` to pin the portable fallback, or
 //! `FUSEDMM_FORCE_BACKEND=<name>` to request a specific one.
-//! Per-`(kernel shape, d)` blocking — including the plan-time kernel
-//! specialization table in [`genkern::table`] — is chosen by the
+//! Per-`(kernel shape, d)` shapes of the plan-time kernel
+//! specialization table in [`genkern::table`] are chosen by the
 //! [`autotune`] module; `docs/ARCHITECTURE.md` at the workspace root
 //! draws the whole dispatch stack.
 //!
@@ -88,9 +87,10 @@ use fusedmm_sparse::dense::Dense;
 
 /// `Z = FusedMM(A, X, Y)` — the tuned kernel.
 ///
-/// Equivalent to [`fusedmm_opt`] but the blocking strategy for each
+/// Equivalent to [`fusedmm_opt`] but the kernel-table shape for each
 /// (kernel shape, dimension) is measured once per process by the global
-/// [`Tuner`] rather than chosen statically.
+/// [`Tuner`] rather than chosen statically. All shapes give
+/// bit-identical results.
 pub fn fusedmm(a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
     let blocking = global_tuner().choose(ops, x.ncols());
     fusedmm_opt_with(a, x, y, ops, blocking, None, PartitionStrategy::NnzBalanced)

@@ -2,37 +2,44 @@
 //!
 //! [`crate::fusedmm`] consults the measuring autotuner on every call —
 //! fine for one-shot batch jobs, wasteful for a serving loop issuing
-//! thousands of small requests per second against the same (pattern,
+//! thousands of small requests per second against the same (kernel shape,
 //! dimension). A [`Plan`] lifts that per-call decision into a value:
 //! prepare it once (paying the tuning probe at load time), then execute
 //! full-graph or row-subset kernels through it with zero per-request
 //! tuning, lock traffic, or dispatch ambiguity. [`PlanCache`] memoizes
-//! plans per (pattern, d) for engines that serve several operator sets.
+//! plans per (kernel shape, d) for engines that serve several operator
+//! sets.
+//!
+//! A prepared plan carries one shape of the generated kernel table
+//! ([`Blocking::Specialized`], the autotuner's probed best for the
+//! plan's `(kernel shape, d, backend)`), or [`Blocking::Generic`] for
+//! op sets that match no kernel shape. Plans are keyed by the kernel
+//! shape [`specialize`] recognizes, not by the op set's pattern tag:
+//! every [`OpSet::custom`] is tagged `Custom` whatever kernel it runs.
 
 use std::collections::HashMap;
 
 use parking_lot::RwLock;
 
-use fusedmm_ops::{OpSet, Pattern};
+use fusedmm_ops::OpSet;
 use fusedmm_sparse::csr::Csr;
 use fusedmm_sparse::dense::Dense;
 
 use crate::autotune::global_tuner;
-use crate::dispatch::{fusedmm_opt_with, Blocking};
+use crate::dispatch::{fusedmm_opt_with, specialize, Blocking, Specialized};
 use crate::part::PartitionStrategy;
 use crate::rows::{fusedmm_rows_banded, fusedmm_rows_banded_topk, fusedmm_rows_with};
 use crate::simd::{active_backend, Backend};
 
-/// A frozen kernel configuration for one (pattern, dimension): which
-/// blocking level to run — possibly one plan-time specialized shape
-/// from the generated dispatch table
-/// ([`Blocking::Specialized`], keyed by
-/// the probed best panel/chunk grid point for this `(pattern, d,
-/// backend)`) — which SIMD backend executes it, and how to partition
-/// rows across threads.
+/// A frozen kernel configuration for one (kernel shape, dimension):
+/// which blocking level to run — for a recognized shape, one plan-time
+/// specialized shape from the generated dispatch table
+/// ([`Blocking::Specialized`], the probed best panel/chunk grid point
+/// for this `(shape, d, backend)`) — which SIMD backend executes it,
+/// and how to partition rows across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Plan {
-    pattern: Pattern,
+    shape: Option<Specialized>,
     d: usize,
     blocking: Blocking,
     backend: Backend,
@@ -40,18 +47,17 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// Measure (via the global autotuner) and freeze the best blocking
-    /// for `ops` at dimension `d` — the fixed const/strip/dyn levels
-    /// race against the specialized table's probed best shape, so a
-    /// prepared plan carries a monomorphized kernel selection, not
-    /// just a strategy tag. The probe runs at most once per process
-    /// per (kernel shape, d); repeated `prepare` calls are cheap.
+    /// Measure (via the global autotuner) and freeze the best table
+    /// shape for `ops` at dimension `d`, so a prepared plan carries a
+    /// monomorphized kernel selection, not just a strategy tag. The
+    /// probe runs at most once per process per (kernel shape, d);
+    /// repeated `prepare` calls are cheap.
     pub fn prepare(ops: &OpSet, d: usize) -> Plan {
         Plan {
-            pattern: ops.pattern,
+            shape: specialize(ops),
             d,
             blocking: global_tuner().choose(ops, d),
-            backend: active_backend(),
+            backend: active_backend().for_dim(d),
             strategy: PartitionStrategy::NnzBalanced,
         }
     }
@@ -64,12 +70,14 @@ impl Plan {
         blocking: Blocking,
         strategy: PartitionStrategy,
     ) -> Plan {
-        Plan { pattern: ops.pattern, d, blocking, backend: active_backend(), strategy }
+        let backend = active_backend().for_dim(d);
+        Plan { shape: specialize(ops), d, blocking, backend, strategy }
     }
 
-    /// The operator pattern this plan was prepared for.
-    pub fn pattern(&self) -> Pattern {
-        self.pattern
+    /// The kernel shape this plan was prepared for (`None`: the op set
+    /// matches no kernel shape and runs the generic kernel).
+    pub fn shape(&self) -> Option<Specialized> {
+        self.shape
     }
 
     /// The embedding dimension this plan was prepared for.
@@ -84,7 +92,8 @@ impl Plan {
 
     /// The SIMD backend that executes this plan — recorded at
     /// preparation time for observability; kernels always run on the
-    /// process-wide [`active_backend`].
+    /// process-wide [`active_backend`], narrowed for the plan's
+    /// dimension by [`Backend::for_dim`].
     pub fn backend(&self) -> Backend {
         self.backend
     }
@@ -97,8 +106,8 @@ impl Plan {
     /// Full-graph execution under this plan.
     ///
     /// # Panics
-    /// Panics when `ops` or the operand shapes disagree with what the
-    /// plan was prepared for.
+    /// Panics when the kernel shape of `ops` or the operand shapes
+    /// disagree with what the plan was prepared for.
     pub fn execute(&self, a: &Csr, x: &Dense, y: &Dense, ops: &OpSet) -> Dense {
         self.check(ops, x);
         fusedmm_opt_with(a, x, y, ops, self.blocking, None, self.strategy)
@@ -167,10 +176,11 @@ impl Plan {
     }
 
     fn check(&self, ops: &OpSet, x: &Dense) {
+        let shape = specialize(ops);
         assert_eq!(
-            ops.pattern, self.pattern,
-            "plan prepared for {:?} executed with {:?}",
-            self.pattern, ops.pattern
+            shape, self.shape,
+            "plan prepared for {:?} executed with {:?} ({:?})",
+            self.shape, shape, ops.pattern
         );
         assert_eq!(
             x.ncols(),
@@ -182,7 +192,7 @@ impl Plan {
     }
 }
 
-/// Disambiguates otherwise-identical `(pattern, d)` cache entries that
+/// Disambiguates otherwise-identical `(shape, d)` cache entries that
 /// belong to different serving contexts: the engine shard a plan was
 /// prepared for and the feature epoch it serves. Shards may autotune
 /// independently (their bands have different nnz profiles) and
@@ -204,7 +214,7 @@ impl PlanTag {
 }
 
 /// Default resident-entry cap for a [`PlanCache`] — generous for any
-/// realistic (pattern × dimension × shard) working set, small enough
+/// realistic (shape × dimension × shard) working set, small enough
 /// that per-epoch tagged entries cannot accumulate forever across a
 /// long-lived serving process's publishes.
 pub const PLAN_CACHE_DEFAULT_CAPACITY: usize = 64;
@@ -213,12 +223,12 @@ pub const PLAN_CACHE_DEFAULT_CAPACITY: usize = 64;
 struct PlanCacheInner {
     /// Value carries an insertion sequence number for eviction
     /// tie-breaks among same-epoch entries.
-    plans: HashMap<(Pattern, usize, PlanTag), (Plan, u64)>,
+    plans: HashMap<(Option<Specialized>, usize, PlanTag), (Plan, u64)>,
     seq: u64,
 }
 
-/// A concurrent, capacity-bounded memo of [`Plan`]s keyed by (pattern,
-/// dimension, [`PlanTag`]). When the cap is exceeded, entries retire
+/// A concurrent, capacity-bounded memo of [`Plan`]s keyed by (kernel
+/// shape, dimension, [`PlanTag`]). When the cap is exceeded, entries retire
 /// **oldest-epoch-first**: the stalest epoch-tagged plans go before
 /// fresher ones, and the epoch-*agnostic* sentinel entries (`epoch ==
 /// 0` — the always-hot per-shard plans) are evicted last, by insertion
@@ -267,7 +277,7 @@ impl PlanCache {
     /// preparing (and memoizing) it on first use. May evict the
     /// oldest-epoch entry when the cache is at capacity.
     pub fn plan_tagged(&self, ops: &OpSet, d: usize, tag: PlanTag) -> Plan {
-        let key = (ops.pattern, d, tag);
+        let key = (specialize(ops), d, tag);
         if let Some(&(plan, _)) = self.inner.read().plans.get(&key) {
             return plan;
         }
@@ -349,7 +359,7 @@ mod tests {
         let (a, x, y) = setup(32, 16);
         let ops = OpSet::sigmoid_embedding(None);
         let plan = Plan::prepare(&ops, 16);
-        assert_eq!(plan.pattern(), Pattern::SigmoidEmbedding);
+        assert_eq!(plan.shape(), Some(Specialized::Embed));
         assert_eq!(plan.d(), 16);
         let z = plan.execute(&a, &x, &y, &ops);
         let r = fusedmm_reference(&a, &x, &y, &ops);
@@ -374,11 +384,12 @@ mod tests {
     #[test]
     fn plan_records_the_active_backend() {
         let ops = OpSet::gcn();
-        let plan =
-            Plan::with_blocking(&ops, 48, Blocking::StripMined, PartitionStrategy::NnzBalanced);
-        assert_eq!(plan.backend(), crate::simd::active_backend());
-        assert_eq!(plan.blocking(), Blocking::StripMined);
-        // Strip-mined plans execute correctly at non-generated dims.
+        let spec = crate::genkern::KernelSpec::default_for(active_backend().lanes(), 48);
+        let blocking = Blocking::Specialized(spec);
+        let plan = Plan::with_blocking(&ops, 48, blocking, PartitionStrategy::NnzBalanced);
+        assert_eq!(plan.backend(), crate::simd::active_backend().for_dim(48));
+        assert_eq!(plan.blocking(), blocking);
+        // Pinned table shapes execute correctly at serving dims.
         let (a, x, y) = setup(24, 48);
         let z = plan.execute(&a, &x, &y, &ops);
         let r = fusedmm_reference(&a, &x, &y, &ops);
@@ -422,6 +433,37 @@ mod tests {
     }
 
     #[test]
+    fn custom_op_sets_are_keyed_by_kernel_shape() {
+        // Every custom set carries the `Custom` pattern tag. A generic
+        // custom set asked for first must not hand its `Generic` plan
+        // to Force2Vec's positive set, which runs the embedding kernels.
+        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
+        let cache = PlanCache::new();
+        let generic = OpSet::custom(VOp::Mul, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Max);
+        assert_eq!(cache.plan_for(&generic, 64).blocking(), Blocking::Generic);
+        let f2v_pos = SOp::Custom(std::sync::Arc::new(|s, _| fusedmm_ops::sigmoid(s) - 1.0));
+        let positive = OpSet::custom(VOp::Mul, ROp::Sum, f2v_pos, MOp::Mul, AOp::Sum);
+        let plan = cache.plan_for(&positive, 64);
+        assert!(matches!(plan.blocking(), Blocking::Specialized(_)), "{plan:?}");
+        assert_eq!(plan.shape(), Some(Specialized::Embed));
+        assert_eq!(cache.len(), 2);
+        // The sigmoid preset shares the positive set's kernel shape.
+        assert_eq!(cache.plan_for(&OpSet::sigmoid_embedding(None), 64), plan);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan prepared for")]
+    fn shape_mismatch_between_custom_sets_panics() {
+        use fusedmm_ops::{AOp, MOp, ROp, SOp, VOp};
+        let (a, x, y) = setup(8, 4);
+        let generic = OpSet::custom(VOp::Mul, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Max);
+        let plan = Plan::prepare(&generic, 4);
+        let embed = OpSet::custom(VOp::Mul, ROp::Sum, SOp::Sigmoid, MOp::Mul, AOp::Sum);
+        let _ = plan.execute(&a, &x, &y, &embed);
+    }
+
+    #[test]
     fn tagged_entries_are_distinct_and_epoch_evictable() {
         let cache = PlanCache::new();
         let ops = OpSet::gcn();
@@ -442,7 +484,7 @@ mod tests {
         let ops = OpSet::gcn();
         // One epoch-agnostic sentinel plus epoch-tagged entries well
         // past the cap — the regression this guards: one entry per
-        // (pattern, d, tag) accumulating forever across epochs.
+        // (shape, d, tag) accumulating forever across epochs.
         let _ = cache.plan_for(&ops, 32);
         for epoch in 1..=6u64 {
             let _ = cache.plan_tagged(&ops, 32, PlanTag { shard: 0, epoch });
@@ -450,7 +492,7 @@ mod tests {
         }
         // Newest epochs and the agnostic sentinel survive; the stalest
         // epochs were retired first.
-        let survives = |tag| cache.inner.read().plans.contains_key(&(ops.pattern, 32, tag));
+        let survives = |tag| cache.inner.read().plans.contains_key(&(specialize(&ops), 32, tag));
         assert!(survives(PlanTag::default()), "epoch-agnostic sentinel outlives epoch entries");
         assert!(survives(PlanTag { shard: 0, epoch: 6 }));
         assert!(survives(PlanTag { shard: 0, epoch: 5 }));
@@ -472,9 +514,9 @@ mod tests {
         // not be the victim of its own insert.
         let _ = cache.plan_tagged(&ops, 8, PlanTag { shard: 0, epoch: 1 });
         let inner = cache.inner.read();
-        assert!(inner.plans.contains_key(&(ops.pattern, 8, PlanTag { shard: 0, epoch: 1 })));
-        assert!(!inner.plans.contains_key(&(ops.pattern, 8, PlanTag { shard: 0, epoch: 5 })));
-        assert!(inner.plans.contains_key(&(ops.pattern, 8, PlanTag { shard: 0, epoch: 6 })));
+        assert!(inner.plans.contains_key(&(specialize(&ops), 8, PlanTag { shard: 0, epoch: 1 })));
+        assert!(!inner.plans.contains_key(&(specialize(&ops), 8, PlanTag { shard: 0, epoch: 5 })));
+        assert!(inner.plans.contains_key(&(specialize(&ops), 8, PlanTag { shard: 0, epoch: 6 })));
     }
 
     #[test]
@@ -489,10 +531,10 @@ mod tests {
         assert_eq!(cache.len(), 2);
         let inner = cache.inner.read();
         assert!(
-            !inner.plans.contains_key(&(a.pattern, 8, PlanTag::default())),
+            !inner.plans.contains_key(&(specialize(&a), 8, PlanTag::default())),
             "oldest-inserted agnostic entry is the tie-break victim"
         );
-        assert!(inner.plans.contains_key(&(c.pattern, 8, PlanTag::default())));
+        assert!(inner.plans.contains_key(&(specialize(&c), 8, PlanTag::default())));
     }
 
     #[test]

@@ -34,11 +34,10 @@ pub struct KernelProfile {
     pub d: usize,
     /// SIMD backend the kernels ran on.
     pub backend: Backend,
-    /// Resolved blocking level label: `const` (register-blocked),
-    /// `strip` (strip-mined), `spec-m{M}-h{H}` (a plan-time
-    /// specialized shape from the generated table — per-variant
-    /// roofline rows fall out of the label), `dyn` (dynamic strips),
-    /// `generic` (the unspecialized five-step kernel), or the
+    /// Resolved blocking level label: `spec-m{M}-h{H}` (a shape from
+    /// the generated kernel table — per-variant roofline rows fall out
+    /// of the label), `dyn` (dynamic strips), `generic` (the
+    /// unspecialized five-step kernel), or the
     /// `hybrid-short`/`hybrid-strip`/`hybrid-mega` per-class rows.
     pub blocking: &'static str,
     /// Launches recorded.
@@ -143,21 +142,25 @@ mod tests {
             .find(|p| p.d == D && p.pattern == Pattern::SigmoidEmbedding)
             .map(|p| (p.calls, p.rows, p.edges))
             .unwrap_or((0, 0, 0));
+        let spec =
+            crate::genkern::KernelSpec::default_for(crate::simd::active_backend().lanes(), D);
         for _ in 0..3 {
             let _ = fusedmm_opt_with(
                 &a,
                 &x,
                 &y,
                 &ops,
-                Blocking::StripMined,
+                Blocking::Auto,
                 Some(2),
                 PartitionStrategy::NnzBalanced,
             );
         }
         let p = kernel_profiles()
             .into_iter()
-            .find(|p| p.d == D && p.pattern == Pattern::SigmoidEmbedding && p.blocking == "strip")
-            .expect("launches recorded under the strip level");
+            .find(|p| {
+                p.d == D && p.pattern == Pattern::SigmoidEmbedding && p.blocking == spec.label()
+            })
+            .expect("launches recorded under the default spec label");
         assert!(p.calls >= before.0 + 3);
         assert!(p.rows >= before.1 + 3 * n as u64);
         assert!(p.edges >= before.2 + 3 * a.nnz() as u64);

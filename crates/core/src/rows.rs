@@ -6,7 +6,8 @@
 //! and `X` into a compact rectangular slice (the paper's §II minibatch
 //! setting: a `batch × n` slice of the adjacency matrix whose column
 //! space — and therefore `Y` — stays global) and running the same
-//! PART1D band driver and specialized kernels over it. Work is
+//! PART1D band driver and kernel-table shape over it, so each output
+//! row is bit-identical to the same row of the full-graph kernel. Work is
 //! proportional to the subset's nonzeros, not the graph's.
 //!
 //! The subset may be in any order and may contain duplicates; output
@@ -23,9 +24,9 @@ use crate::generic::validate_shapes;
 use crate::part::PartitionStrategy;
 
 /// `out[i, :] = FusedMM(A, X, Y)[rows[i], :]`, computing only the
-/// requested rows. Tuned like [`crate::fusedmm`]: the blocking strategy
-/// (dynamic, strip-mined, or register-blocked) comes from the global
-/// autotuner, and the kernels run on the detected SIMD backend.
+/// requested rows. Tuned like [`crate::fusedmm`]: the kernel-table shape
+/// comes from the global autotuner, and the kernels run on the detected
+/// SIMD backend.
 ///
 /// # Panics
 /// Panics when the full-problem shapes are inconsistent or any
@@ -199,9 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn strip_mined_subset_matches_full_kernel_at_serving_dims() {
-        // d = 48 has no const-generic kernel; the row path must serve
-        // it through the strip-mined family.
+    fn pinned_spec_subset_matches_full_kernel_at_serving_dims() {
+        // The row path serves d = 48 through a pinned table shape.
         let n = 40;
         let a = graph(n);
         let d = 48;
@@ -216,7 +216,7 @@ mod tests {
             &x,
             &y,
             &ops,
-            Blocking::StripMined,
+            Blocking::Specialized(crate::genkern::KernelSpec::new(6, 32).unwrap()),
             Some(2),
             PartitionStrategy::NnzBalanced,
         );

@@ -8,7 +8,7 @@
 //! and `FUSEDMM_FORCE_BACKEND` environment variables, and caches the
 //! answer for the lifetime of the process. Everything downstream — the
 //! slice primitives in [`crate::simd`], the per-ISA kernel entries in
-//! [`crate::genkern::strip`] and [`crate::genkern::table`] — routes
+//! [`crate::genkern::table`] and [`crate::genkern::dyn_strips`] — routes
 //! through that single decision, so there is no per-operation feature
 //! sniffing on the hot path.
 //!
@@ -112,6 +112,21 @@ impl Backend {
         match self {
             Backend::Avx512 => 16,
             _ => crate::simd::VLEN,
+        }
+    }
+
+    /// The backend whose kernels run rows of width `d`: `self`, except
+    /// that rows narrower than one zmm register run the 8-lane AVX2
+    /// kernels. On AVX-512 such a row is a single half-empty masked
+    /// tail, measured ~1.4× slower at d = 8 than one full ymm panel;
+    /// the two backends are bit-identical, so the switch changes no
+    /// result. Available wherever `self` is (AVX-512 availability
+    /// includes AVX2+FMA).
+    pub fn for_dim(self, d: usize) -> Backend {
+        if self == Backend::Avx512 && d < self.lanes() {
+            Backend::Avx2Fma
+        } else {
+            self
         }
     }
 

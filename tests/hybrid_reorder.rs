@@ -8,6 +8,7 @@
 
 use proptest::prelude::*;
 
+use fusedmm::kernel::genkern::KernelSpec;
 use fusedmm::prelude::*;
 
 /// A graph with all four degree classes: a hub row adjacent to
@@ -32,10 +33,10 @@ fn skewed(n: usize, seed: u64) -> Csr {
     c.to_csr(Dedup::Last)
 }
 
-/// Hybrid blocking vs the baseline paths across the dimension classes
-/// the dispatcher distinguishes: d = 8 resolves to a generated
-/// const-dimension kernel (hybrid falls through), d = 96 and 192 are
-/// strip-level dims where the degree-classed passes actually engage.
+/// Hybrid blocking vs the uniform table kernels across dimensions: at
+/// d = 8 (one masked half-register on 16-lane backends), 96 and 192 the
+/// degree-classed passes all engage and must reproduce `Auto` and a
+/// pinned table shape bit for bit.
 #[test]
 fn hybrid_bit_identical_across_dims_and_parts() {
     let n = 160;
@@ -65,24 +66,22 @@ fn hybrid_bit_identical_across_dims_and_parts() {
                 PartitionStrategy::NnzBalanced,
             );
             assert_eq!(auto.as_slice(), hybrid.as_slice(), "hybrid vs auto d={d} parts={parts}");
-            if d > 64 {
-                // Strip-level dims: the uniform strip-mined path is the
-                // exact baseline the hybrid classes must reproduce.
-                let strip = fusedmm_opt_with(
-                    &a,
-                    &x,
-                    &y,
-                    &ops,
-                    Blocking::StripMined,
-                    Some(parts),
-                    PartitionStrategy::NnzBalanced,
-                );
-                assert_eq!(
-                    strip.as_slice(),
-                    hybrid.as_slice(),
-                    "hybrid vs strip d={d} parts={parts}"
-                );
-            }
+            // A different table shape than Auto's default: the hybrid
+            // classes must match every shape, not just one.
+            let pinned = fusedmm_opt_with(
+                &a,
+                &x,
+                &y,
+                &ops,
+                Blocking::Specialized(KernelSpec::FALLBACK),
+                Some(parts),
+                PartitionStrategy::NnzBalanced,
+            );
+            assert_eq!(
+                pinned.as_slice(),
+                hybrid.as_slice(),
+                "hybrid vs pinned spec d={d} parts={parts}"
+            );
         }
     }
 }
@@ -104,15 +103,8 @@ fn star_graph_mega_path_bit_identical_and_profiled() {
     let ops = OpSet::tdist_embedding();
     let cfg = HybridConfig { short_max: 8, mega_floor: 32 };
     reset_kernel_profiles();
-    let strip = fusedmm_opt_with(
-        &a,
-        &x,
-        &y,
-        &ops,
-        Blocking::StripMined,
-        Some(4),
-        PartitionStrategy::NnzBalanced,
-    );
+    let uniform =
+        fusedmm_opt_with(&a, &x, &y, &ops, Blocking::Auto, Some(4), PartitionStrategy::NnzBalanced);
     let hybrid = fusedmm_opt_with(
         &a,
         &x,
@@ -122,7 +114,7 @@ fn star_graph_mega_path_bit_identical_and_profiled() {
         Some(4),
         PartitionStrategy::NnzBalanced,
     );
-    assert_eq!(strip.as_slice(), hybrid.as_slice());
+    assert_eq!(uniform.as_slice(), hybrid.as_slice());
     let labels: Vec<&str> = kernel_profiles().iter().map(|p| p.blocking).collect();
     assert!(labels.contains(&"hybrid-mega"), "mega pass missing from profiles: {labels:?}");
 }

@@ -156,17 +156,20 @@ fn matrix_market_round_trip_on_random_graph() {
 // SIMD backend and kernel blocking agreement (the ISA dispatch sweep)
 // ---------------------------------------------------------------------------
 
-/// The dimensions the dispatch rework targets: generated const dims
-/// (8), strip-minable serving dims (24/48/96/192/384) — all multiples
-/// of 8 so every blocking level below is eligible. On an AVX-512
-/// machine the whole sweep runs with 16-lane kernels as the active
-/// backend, so these cases double as the AVX-512 agreement sweep.
+/// Serving-typical dimensions (8/24/48/96/192/384), all multiples of
+/// 8: on 16-lane backends d = 8/24/... end in a masked half-register
+/// tail, so these cases double as the AVX-512 agreement sweep when
+/// AVX-512 is the active backend.
 const SWEEP_DIMS: [usize; 6] = [8, 24, 48, 96, 192, 384];
 
-/// Odd dimensions the strip-mined family rejects; only the plan-time
-/// specialized table (masked-tail panels) and the dyn/generic levels
-/// accept them.
+/// Odd dimensions: the kernel table finishes them in a fused
+/// masked-tail panel, the dyn level in an unfused scalar tail.
 const ODD_DIMS: [usize; 2] = [7, 100];
+
+/// Dimensions of the one-kernel-family bit-identity sweep: the small
+/// dims the const-dimension kernels used to own, an odd dim, and the
+/// Force2Vec/Table VIII dimension.
+const BIT_DIMS: [usize; 6] = [8, 16, 32, 64, 100, 128];
 
 fn sweep_features(n: usize, d: usize, seed: u64) -> Dense {
     Dense::from_fn(n, d, |r, c| (((r * 131 + c * 17) as f32 + seed as f32) * 0.013).sin() * 0.3)
@@ -254,8 +257,7 @@ proptest! {
 
     #[test]
     fn blocking_levels_agree_across_serving_dims(coo in arb_coo(), seed in 0u64..100) {
-        use fusedmm::kernel::fusedmm_opt_with;
-        use fusedmm::kernel::genkern::GENERATED_DIMS;
+        use fusedmm::kernel::{fusedmm_opt_with, global_tuner};
         let a = square_graph(&coo);
         for d in SWEEP_DIMS {
             let x = sweep_features(40, d, seed);
@@ -270,11 +272,9 @@ proptest! {
             for (ops, tol) in presets.into_iter().chain(custom_sop_opsets()) {
                 let reference = fusedmm_reference(&a, &x, &y, &ops);
                 let scale = 1.0 + reference.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
-                let mut blockings =
-                    vec![Blocking::Auto, Blocking::DynStrips, Blocking::StripMined];
-                if GENERATED_DIMS.contains(&d) {
-                    blockings.push(Blocking::RegisterBlocked);
-                }
+                // Auto runs the table's default shape, the tuner its
+                // probed best shape.
+                let blockings = [Blocking::Auto, Blocking::DynStrips, global_tuner().choose(&ops, d)];
                 for blocking in blockings {
                     let z = fusedmm_opt_with(
                         &a, &x, &y, &ops, blocking, Some(3), PartitionStrategy::NnzBalanced,
@@ -290,9 +290,9 @@ proptest! {
     }
 
     /// The plan-time specialized table and the hybrid executor accept
-    /// every dimension — including odd ones the strip family rejects —
-    /// and agree with the naive reference for every candidate shape on
-    /// the active (on this machine: widest available) backend.
+    /// every dimension — including odd ones — and agree with the naive
+    /// reference for every candidate shape on the active (on this
+    /// machine: widest available) backend.
     #[test]
     fn specialized_table_and_hybrid_cover_odd_dims(coo in arb_coo(), seed in 0u64..100) {
         use fusedmm::kernel::fusedmm_opt_with;
@@ -317,8 +317,8 @@ proptest! {
                     .map(Blocking::Specialized)
                     .collect();
                 // Hybrid routes through the same specialized shapes per
-                // degree class (short/strip/mega) at strip *and* dyn
-                // resolved levels, so odd d exercises its masked tails.
+                // degree class (short/strip/mega) at every d, so odd d
+                // exercises its masked tails.
                 blockings.push(Blocking::Hybrid(HybridConfig::default()));
                 for blocking in blockings {
                     let z = fusedmm_opt_with(
@@ -347,6 +347,59 @@ proptest! {
         }
     }
 
+    /// One kernel family: every entry point that runs a recognized
+    /// kernel shape — `fusedmm_opt` (`Auto`, the table's static default
+    /// shape), the tuned `fusedmm`, a prepared `Plan`, default `Hybrid`,
+    /// and every candidate shape of the table — computes the same bits,
+    /// for the four preset shapes and a user-defined SOP, at the small
+    /// dims that used to run their own const kernels and at aligned and
+    /// odd serving dims.
+    #[test]
+    fn every_entry_point_bit_identical_on_the_kernel_table(coo in arb_coo(), seed in 0u64..100) {
+        use std::sync::Arc;
+        use fusedmm::kernel::genkern::candidate_specs;
+        use fusedmm::kernel::simd::active_backend;
+        use fusedmm::kernel::{fusedmm_opt, fusedmm_opt_with, specialize, Plan, Specialized};
+        let a = square_graph(&coo);
+        let f2v_pos = SOp::Custom(Arc::new(|s, _| fusedmm::ops::sigmoid(s) - 1.0));
+        let opsets = [
+            OpSet::sigmoid_embedding(None),
+            OpSet::fr_model(0.4),
+            OpSet::tdist_embedding(),
+            OpSet::gcn(),
+            OpSet::custom(VOp::Mul, ROp::Sum, f2v_pos, MOp::Mul, AOp::Sum),
+        ];
+        let bits = |z: &Dense| z.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for d in BIT_DIMS {
+            let x = sweep_features(40, d, seed);
+            let y = sweep_features(40, d, seed + 7);
+            for ops in &opsets {
+                let auto = bits(&fusedmm_opt(&a, &x, &y, ops));
+                let sddmm = specialize(ops) != Some(Specialized::Spmm);
+                let specs = candidate_specs(active_backend().for_dim(d).lanes(), d, sddmm);
+                let mut runs = vec![
+                    ("fusedmm".to_string(), fusedmm(&a, &x, &y, ops)),
+                    ("plan".to_string(), Plan::prepare(ops, d).execute(&a, &x, &y, ops)),
+                ];
+                let forced = [Blocking::Hybrid(HybridConfig::default())]
+                    .into_iter()
+                    .chain(specs.into_iter().map(Blocking::Specialized));
+                for blocking in forced {
+                    let z = fusedmm_opt_with(
+                        &a, &x, &y, ops, blocking, Some(3), PartitionStrategy::NnzBalanced,
+                    );
+                    runs.push((format!("{blocking:?}"), z));
+                }
+                for (name, z) in &runs {
+                    prop_assert!(
+                        bits(z) == auto,
+                        "{:?} {} d={}: not bit-identical to fusedmm_opt", ops.pattern, name, d
+                    );
+                }
+            }
+        }
+    }
+
     /// A user-defined SOP evaluating the same expression as a preset
     /// runs at the same point of the same fold: `custom(MUL, RSUM,
     /// |s| σ(s), MUL, ASUM)` and `custom(SUB, NORM, SCAL(α), MUL, ASUM)`
@@ -357,7 +410,7 @@ proptest! {
     fn custom_scalar_ops_bit_identical_to_presets(coo in arb_coo(), seed in 0u64..100) {
         use std::sync::Arc;
         use fusedmm::kernel::fusedmm_opt_with;
-        use fusedmm::kernel::genkern::{candidate_specs, GENERATED_DIMS};
+        use fusedmm::kernel::genkern::candidate_specs;
         use fusedmm::kernel::simd::active_backend;
         let a = hub_graph(&coo);
         let sigmoid = SOp::Custom(Arc::new(|s, _| fusedmm::ops::sigmoid(s)));
@@ -381,12 +434,6 @@ proptest! {
                 Blocking::Hybrid(HybridConfig::default()),
                 Blocking::Hybrid(HUB_HYBRID),
             ];
-            if GENERATED_DIMS.contains(&d) {
-                blockings.push(Blocking::RegisterBlocked);
-            }
-            if d % 8 == 0 {
-                blockings.push(Blocking::StripMined);
-            }
             blockings.extend(
                 candidate_specs(active_backend().lanes(), d, true)
                     .into_iter()
